@@ -2,7 +2,8 @@
 
 Results are written as an append-only JSONL stream: one self-describing
 header line, then one record per run. Failed runs carry infinite time and
-cost and contribute those infinities to the order statistics.
+cost and contribute those infinities to the order statistics; a run that
+raised also carries the exception as ``error``.
 """
 from __future__ import annotations
 
@@ -46,6 +47,7 @@ class SummaryRow:
     c_final: tuple[float, float, float]
     success_rate: float
     trials: int
+    errors: int  # failed runs that raised, as opposed to finding no solution
 
 
 def run_record(
@@ -71,8 +73,11 @@ def _run_one(task: tuple[str, WorldSpec, str, PlannerConfig, int]) -> dict:
     try:
         problem = make_problem(spec)
         run = PLANNERS[planner_id](problem, config)
-    except Exception:
-        run = PlannerRun(planner=planner_id)
+    except Exception as exc:
+        failed = PlannerRun(planner=planner_id)
+        record = run_record(suite_id, planner_id, spec.world_id, seed, failed)
+        record["error"] = f"{type(exc).__name__}: {exc}"
+        return record
     return run_record(suite_id, planner_id, spec.world_id, seed, run)
 
 
@@ -80,11 +85,12 @@ def run_benchmark(suite: BenchmarkSuite, out=None, jobs: int = 1) -> list[dict]:
     """Execute every (planner, world, trial) cell, streaming records to out.
 
     Trial t of any cell uses seed seed_base + t, identical across planners
-    for paired comparison. A run that raises is recorded as a failure and
-    the suite continues. Records are appended to the (file-like) out
-    incrementally so a crash loses at most the in-flight runs. With jobs > 1
-    trials execute in a process pool; the concurrency level is recorded in
-    the header because it perturbs wall-clock comparability.
+    for paired comparison. A run that raises is recorded as a failure with
+    its exception type and message under ``error``, and the suite continues.
+    Records are appended to the (file-like) out incrementally so a crash
+    loses at most the in-flight runs. With jobs > 1 trials execute in a
+    process pool; the concurrency level is recorded in the header because it
+    perturbs wall-clock comparability.
     """
     records: list[dict] = []
 
@@ -155,7 +161,11 @@ def _order_stats(values: Sequence[float]) -> tuple[float, float, float]:
 
 
 def summarize(records: Iterable[dict]) -> list[SummaryRow]:
-    """Per (planner, world) order statistics with the infinity convention."""
+    """Per (planner, world) order statistics with the infinity convention.
+
+    ``errors`` counts the runs that raised, apart from the runs that ended
+    without a solution.
+    """
     cells: dict[tuple[str, str], list[dict]] = {}
     for rec in records:
         cells.setdefault((rec["planner"], rec["world"]), []).append(rec)
@@ -165,6 +175,7 @@ def summarize(records: Iterable[dict]) -> list[SummaryRow]:
         c_init = [r["c_init"] if r["success"] else math.inf for r in recs]
         c_final = [r["c_final"] if r["success"] else math.inf for r in recs]
         successes = sum(1 for r in recs if r["success"])
+        errors = sum(1 for r in recs if r.get("error"))
         rows.append(
             SummaryRow(
                 planner=planner,
@@ -174,6 +185,7 @@ def summarize(records: Iterable[dict]) -> list[SummaryRow]:
                 c_final=_order_stats(c_final),
                 success_rate=successes / len(recs),
                 trials=len(recs),
+                errors=errors,
             )
         )
     return rows

@@ -156,7 +156,7 @@ def _cmd_summarize(args) -> int:
     header = (
         f"{'planner':<18} {'world':<28} "
         f"{'t_init min/med/max':<26} {'c_init min/med/max':<26} "
-        f"{'c_final min/med/max':<26} {'success':>7}"
+        f"{'c_final min/med/max':<26} {'success':>7} {'errors':>6}"
     )
     print(header)
     for row in rows:
@@ -165,7 +165,7 @@ def _cmd_summarize(args) -> int:
             f"{'/'.join(_fmt(v) for v in row.t_init):<26} "
             f"{'/'.join(_fmt(v) for v in row.c_init):<26} "
             f"{'/'.join(_fmt(v) for v in row.c_final):<26} "
-            f"{row.success_rate:>7.2f}"
+            f"{row.success_rate:>7.2f} {row.errors:>6d}"
         )
     return 0
 

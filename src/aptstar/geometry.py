@@ -296,6 +296,18 @@ def is_state_valid(world: WorldModel, x: State) -> bool:
     return not bool(np.any(np.all((x >= mins) & (x <= maxs), axis=1)))
 
 
+def states_valid(world: WorldModel, points: np.ndarray) -> np.ndarray:
+    """Row-wise is_state_valid over an (m, n) array of states, as a bool array."""
+    points = np.asarray(points, dtype=float)
+    b = world.bounds
+    ok = np.all((points >= b.min_corner) & (points <= b.max_corner), axis=1)
+    if world.obstacles:
+        mins, maxs = world.obstacle_corners
+        p = points[:, None, :]
+        ok &= ~np.any(np.all((p >= mins) & (p <= maxs), axis=2), axis=1)
+    return ok
+
+
 def default_motion_resolution(world: WorldModel) -> float:
     """Sub-feature collision-check spacing: 1e-3 of the bounds diagonal."""
     return 1e-3 * world.bounds.diagonal

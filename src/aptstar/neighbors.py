@@ -178,23 +178,6 @@ def eccentricity(region: EllipsoidRegion, r: float) -> float:
     return math.sqrt(radicand)
 
 
-def _force_increment(
-    x: State,
-    positions: np.ndarray,
-    valid: np.ndarray,
-    charge: float,
-    config: NeighborConfig,
-) -> np.ndarray:
-    n = x.size
-    diff = positions - x
-    dist = np.sqrt(np.sum(diff * diff, axis=1))
-    dist = np.maximum(dist, config.min_pair_distance)
-    unit = diff / dist[:, None]
-    magnitude = config.k_e * charge * charge / dist ** (n - 1)
-    signs = np.where(valid, 1.0, -1.0)
-    return np.sum((signs * magnitude)[:, None] * unit, axis=0)
-
-
 def elliptical_nn_query(
     x: State,
     samples: Sequence[ChargedSample],
@@ -217,10 +200,11 @@ def elliptical_nn_query(
 
     Candidates start as the samples within max_prolongation * r of x (a
     superset of anything the region can ever contain); the virtual force is
-    accumulated over the surviving candidates each round and the region
-    rebuilt until the invalid ratio drops below phi_threshold or the round
-    bound is hit. Invalid samples are stripped from the result. Callers with
-    precomputed position and validity arrays may pass samples as None.
+    accumulated over the surviving candidates each round and membership
+    retested until the invalid ratio drops below phi_threshold or the round
+    bound is hit. The region's frame is built once, for the final force.
+    Invalid samples are stripped from the result. Callers with precomputed
+    position and validity arrays may pass samples as None.
     """
     x = np.asarray(x, dtype=float)
     if positions is None:
@@ -250,48 +234,74 @@ def elliptical_nn_query(
     # per-candidate geometry is invariant across rounds (candidates only
     # shrink), so compute distances, magnitudes, and weights once
     diff = cand_pos - x
-    d = np.sqrt(np.einsum("ij,ij->i", diff, diff))
-    np.maximum(d, config.min_pair_distance, out=d)
+    d2 = np.einsum("ij,ij->i", diff, diff)
+    d = np.maximum(np.sqrt(d2), config.min_pair_distance)
     mag = ke_q2 / d ** (n - 1)
     weight = mag / d
+    r2 = r * r
+    # Every region contains the open r-ball, so once all candidates lie
+    # inside it (with a margin for rounding in the membership test) no later
+    # round can drop one: membership and phi are final and the remaining
+    # rounds only add the same force step again.
+    ball2 = r2 * (1.0 - 1e-9)
+    final = bool(np.all(d2 < ball2))
     force = np.zeros(n)
-    frame = np.eye(n)
-    axes = np.full(n, r)
+    step = None  # force increment of the current candidate set
+    n_total = cand.size
+    n_invalid = int(np.count_nonzero(~valid_flags))
     phi = 1.0
     rounds = 0
     while phi >= config.phi_threshold and rounds < config.max_shrink_rounds:
         rounds += 1
         if stats is not None:
             stats["shrink_rounds"] = stats.get("shrink_rounds", 0) + 1
-        signed = np.where(valid_flags, weight, -weight)
-        force = force + signed @ diff
+        if step is None:
+            step = np.where(valid_flags, weight, -weight) @ diff
+        force = force + step
         fnorm = math.sqrt(float(force @ force))
-        frame = orthonormal_basis(force) if fnorm > 0.0 else np.eye(n)
-        axes = np.full(n, r)
-        axes[0] = min(r * (1.0 + config.k * fnorm), r * config.max_prolongation)
-        local = diff @ frame
-        inside = np.einsum("ij,ij->i", local / axes, local / axes) < 1.0
-        n_total = int(np.count_nonzero(inside))
-        if n_total == 0:
-            if trace is not None:
-                trace.write(f"{rounds} 0 0 nan {fnorm:.9e} {axes[0] / r:.9f}\n")
-            return [], EllipsoidRegion(x, frame, axes), r
-        n_invalid = int(np.count_nonzero(inside & ~valid_flags))
+        major = min(r * (1.0 + config.k * fnorm), r * config.max_prolongation)
+        if not final:
+            if fnorm > 0.0:
+                # prolate test in closed form: every minor semi-axis is r
+                p = diff @ (force / fnorm)
+                inside = (p / major) ** 2 + (d2 - p * p) / r2 < 1.0
+            else:
+                inside = np.einsum("ij,ij->i", diff / r, diff / r) < 1.0
+            n_inside = int(np.count_nonzero(inside))
+            if n_inside == 0:
+                if trace is not None:
+                    trace.write(f"{rounds} 0 0 nan {fnorm:.9e} {major / r:.9f}\n")
+                return [], _region(x, force, fnorm, major, r), r
+            if n_inside < n_total:
+                cand = cand[inside]
+                valid_flags = valid_flags[inside]
+                diff = diff[inside]
+                weight = weight[inside]
+                d2 = d2[inside]
+                step = None
+                n_total = n_inside
+                n_invalid = int(np.count_nonzero(~valid_flags))
+                final = bool(np.all(d2 < ball2))
         phi = n_invalid / n_total
-        cand = cand[inside]
-        valid_flags = valid_flags[inside]
-        diff = diff[inside]
-        weight = weight[inside]
         if trace is not None:
             trace.write(
-                f"{rounds} {n_total} {n_invalid} {phi:.9f} {fnorm:.9e} {axes[0] / r:.9f}\n"
+                f"{rounds} {n_total} {n_invalid} {phi:.9f} {fnorm:.9e} {major / r:.9f}\n"
             )
         if ke_q2 == 0.0:
             # zero charge leaves the force at zero forever, so the region
             # and its membership are already at their fixed point
             break
-    region = EllipsoidRegion(x, frame, axes)
-    return cand[valid_flags].tolist(), region, r
+    return cand[valid_flags].tolist(), _region(x, force, fnorm, major, r), r
+
+
+def _region(
+    x: State, force: np.ndarray, fnorm: float, major: float, r: float
+) -> EllipsoidRegion:
+    """The region for the final force, with its frame built once per query."""
+    frame = orthonormal_basis(force) if fnorm > 0.0 else np.eye(x.size)
+    axes = np.full(x.size, r)
+    axes[0] = major
+    return EllipsoidRegion(x, frame, axes)
 
 
 def elliptical_nn_indices(

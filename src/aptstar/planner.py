@@ -36,6 +36,7 @@ from .geometry import (
     lebesgue_measure,
     sample_informed,
     sample_uniform,
+    states_valid,
 )
 from .neighbors import NeighborConfig, elliptical_nn_query
 
@@ -73,8 +74,14 @@ class PlannerConfig:
     def __post_init__(self):
         if self.max_time is None and self.max_iterations is None:
             raise ValueError("set max_time, max_iterations, or both")
+        if self.max_time is not None and not self.max_time >= 0.0:
+            raise ValueError("max_time must be nonnegative")
+        if self.max_iterations is not None and self.max_iterations < 0:
+            raise ValueError("max_iterations must be nonnegative")
         if not 0.0 <= self.goal_bias < 1.0:
             raise ValueError("goal_bias must be in [0, 1)")
+        if not self.rewire_factor > 0.0:
+            raise ValueError("rewire_factor must be positive")
 
 
 @dataclass
@@ -380,11 +387,10 @@ def plan_apt(
             goals, key=lambda g: distance(problem.start, g)
         )
         informed = InformedSet(problem.start, focus, c_best, distance(problem.start, focus))
-        for _ in range(batch):
-            x = sample_informed(informed, world.bounds, rng)
-            counters["samples"] += 1
-            pool_states.append(x)
-            pool_valid.append(is_state_valid(world, x))
+        drawn = [sample_informed(informed, world.bounds, rng) for _ in range(batch)]
+        counters["samples"] += batch
+        pool_states.extend(drawn)
+        pool_valid.extend(states_valid(world, np.reshape(drawn, (batch, n))).tolist())
 
         n_pool = len(pool_states)
         pool_pos = np.array(pool_states, dtype=float).reshape(n_pool, n)

@@ -13,7 +13,7 @@ from aptstar.bench import (
     run_benchmark,
     summarize,
 )
-from aptstar.planner import PlannerConfig
+from aptstar.planner import PlannerConfig, PlannerRun
 from aptstar.worlds import WorldSpec
 
 
@@ -95,6 +95,23 @@ class TestRunBenchmark:
         records = run_benchmark(empty_suite(trials=2))
         assert len(records) == 2
         assert all(not r["success"] for r in records)
+        assert all(r["error"] == "RuntimeError: planner exploded" for r in records)
+        row = summarize(records)[0]
+        assert row.errors == 2
+        assert row.success_rate == 0.0
+
+    def test_unsolved_run_is_not_an_error(self, monkeypatch):
+        import aptstar.bench as bench
+
+        def unsolved(problem, config):
+            return PlannerRun(planner="apt")
+
+        monkeypatch.setitem(bench.PLANNERS, "apt", unsolved)
+        records = run_benchmark(empty_suite(trials=2))
+        assert all("error" not in r and not r["success"] for r in records)
+        row = summarize(records)[0]
+        assert row.errors == 0
+        assert row.success_rate == 0.0
 
 
 class TestSummarize:

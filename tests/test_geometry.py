@@ -20,6 +20,7 @@ from aptstar.geometry import (
     sample_informed,
     sample_uniform,
     save_world,
+    states_valid,
     unit_ball_volume,
     world_from_dict,
     world_to_dict,
@@ -180,6 +181,39 @@ class TestValidity:
     def test_out_of_bounds(self):
         world = unit_world()
         assert not is_state_valid(world, np.array([1.1, 0.5]))
+
+    @staticmethod
+    def boundary_points(boxes, rng, count):
+        """Random points, points built from the boxes' corner coordinates
+        (each also nudged one ulp either way), and points that mix such
+        coordinates with random ones."""
+        n = boxes[0].dimension
+        edges = np.array([v for box in boxes for v in (*box.min_corner, *box.max_corner)])
+        coords = np.concatenate([np.nextafter(edges, -2.0), edges, np.nextafter(edges, 2.0)])
+        grid = coords[rng.integers(0, coords.size, (count, n))]
+        free = rng.uniform(-0.1, 1.1, (count, n))
+        mixed = np.where(rng.random((count, n)) < 0.5, grid, free)
+        return np.vstack([grid, mixed, rng.uniform(-0.1, 1.1, (count, n))])
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_batched_equals_per_state(self, n):
+        rng = np.random.default_rng(n)
+        obstacles = [
+            HyperRectangle(np.full(n, 0.4), np.full(n, 0.6)),
+            # touches the bounds on every axis
+            HyperRectangle(np.full(n, 0.0), np.full(n, 0.25)),
+            HyperRectangle(np.full(n, 0.8), np.full(n, 1.0)),
+        ]
+        bounds = HyperRectangle(np.zeros(n), np.ones(n))
+        for world in (WorldModel(bounds), WorldModel(bounds, tuple(obstacles))):
+            pts = self.boundary_points([bounds, *obstacles], rng, 400)
+            got = states_valid(world, pts)
+            assert got.dtype == bool and got.shape == (len(pts),)
+            assert got.tolist() == [is_state_valid(world, p) for p in pts]
+
+    def test_batched_on_no_rows(self):
+        world = unit_world(([0.4, 0.4], [0.6, 0.6]))
+        assert states_valid(world, np.empty((0, 2))).shape == (0,)
 
 
 class TestMotionValid:

@@ -279,22 +279,52 @@ class TestEllipticalNearestNeighbors:
 
     def test_brute_force_equivalence_random(self):
         rng = np.random.default_rng(5)
-        for _ in range(100):
-            count = int(rng.integers(3, 51))
-            x, pts, flags = random_fixture(rng, 2, count)
-            charge = float(rng.uniform(0.1, 1.9))
-            batch = int(rng.integers(5, 60))
-            samples = samples_from(pts, flags, charge)
-            got = elliptical_nn_indices(x, samples, batch, 2, CFG, lambda b: charge)
-            want = brute_elliptical_nn(
-                tuple(x),
-                [(tuple(p), bool(v)) for p, v in zip(pts, flags)],
-                batch,
-                2,
-                CFG,
-                charge,
-            )
-            assert sorted(got) == sorted(want)
+        for n in (2, 4, 8):
+            for _ in range(100):
+                count = int(rng.integers(3, 51))
+                x, pts, flags = random_fixture(rng, n, count)
+                charge = float(rng.uniform(0.1, 1.9))
+                batch = int(rng.integers(5, 60))
+                samples = samples_from(pts, flags, charge)
+                got = elliptical_nn_indices(x, samples, batch, n, CFG, lambda b: charge)
+                want = brute_elliptical_nn(
+                    tuple(x),
+                    [(tuple(p), bool(v)) for p, v in zip(pts, flags)],
+                    batch,
+                    n,
+                    CFG,
+                    charge,
+                )
+                assert sorted(got) == sorted(want)
+
+    def test_frozen_membership_runs_every_round(self):
+        # invalid samples inside the r-ball can never leave the region, so
+        # phi stays at 3/8 and the loop runs to the round cap; the sample
+        # far out on the minor axis drops in round one, after which every
+        # survivor lies inside the r-ball and membership is final
+        x = np.array([0.5, 0.5])
+        r = rnn_radius(12, 2, math.inf, 1.0)
+        offsets = [
+            (0.6, 0.0), (0.5, 0.3), (0.5, -0.3), (0.4, 0.4), (0.4, -0.4),
+            (-0.5, 0.0), (-0.4, 0.2), (-0.4, -0.2), (0.0, 2.5),
+        ]
+        flags = [True] * 5 + [False] * 4
+        pts = [tuple(x + r * np.array(o)) for o in offsets]
+        samples = samples_from(pts, flags, 1.2)
+        stats = {}
+        trace = io.StringIO()
+        got = elliptical_nn_indices(
+            x, samples, 12, 2, CFG, lambda b: 1.2, stats=stats, trace=trace
+        )
+        lines = trace.getvalue().splitlines()
+        assert stats["shrink_rounds"] == CFG.max_shrink_rounds
+        assert len(lines) == CFG.max_shrink_rounds
+        assert [int(line.split()[0]) for line in lines] == list(
+            range(1, CFG.max_shrink_rounds + 1)
+        )
+        assert all(line.split()[1:4] == ["8", "3", "0.375000000"] for line in lines)
+        want = brute_elliptical_nn(tuple(x), list(zip(pts, flags)), 12, 2, CFG, 1.2)
+        assert sorted(got) == sorted(want) == [0, 1, 2, 3, 4]
 
 
 class TestChargedSample:

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from aptstar.cli import main
 from aptstar.geometry import HyperRectangle, ProblemInstance, WorldModel
 from aptstar.planner import (
     PLANNERS,
@@ -53,6 +54,45 @@ class TestPlannerConfig:
     def test_goal_bias_range(self):
         with pytest.raises(ValueError):
             PlannerConfig(max_iterations=1, goal_bias=1.0)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"max_time": -1.0},
+            {"max_time": math.nan},
+            {"max_iterations": -3},
+            {"max_iterations": 5, "rewire_factor": 0.0},
+            {"max_iterations": 5, "rewire_factor": -1.2},
+        ],
+    )
+    def test_invalid_settings_rejected(self, kwargs):
+        with pytest.raises(ValueError):
+            PlannerConfig(**kwargs)
+
+    def test_zero_budgets_accepted(self):
+        assert PlannerConfig(max_time=0.0).max_time == 0.0
+        assert PlannerConfig(max_iterations=0).max_iterations == 0
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--max-iters", "-3"), ("--max-time", "-1")],
+    )
+    def test_cli_exits_2_on_negative_budget(self, tmp_path, capsys, flag, value):
+        world = tmp_path / "w.json"
+        main(["worldgen", "--family", "empty", "--dim", "2", "--out", str(world)])
+        code = main(["plan", "--world", str(world), "--planner", "apt", flag, value])
+        assert code == 2
+        assert "must be nonnegative" in capsys.readouterr().err
+
+    def test_cli_exits_2_on_zero_rewire_factor(self, tmp_path, capsys):
+        world = tmp_path / "w.json"
+        main(["worldgen", "--family", "empty", "--dim", "2", "--out", str(world)])
+        config = tmp_path / "cfg.json"
+        config.write_text('{"rewire_factor": 0}')
+        code = main(["plan", "--world", str(world), "--planner", "apt",
+                     "--max-iters", "2", "--config", str(config)])
+        assert code == 2
+        assert "rewire_factor must be positive" in capsys.readouterr().err
 
 
 class TestSearchTree:

@@ -9,7 +9,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
@@ -57,7 +56,7 @@ class HyperRectangle:
 
     def contains(self, x: State) -> bool:
         """Closed-set membership: boundary points count as inside."""
-        return bool(np.all(x >= self.min_corner) and np.all(x <= self.max_corner))
+        return bool((x >= self.min_corner).all() and (x <= self.max_corner).all())
 
     def intersects(self, other: "HyperRectangle") -> bool:
         return bool(
@@ -98,6 +97,20 @@ class WorldModel:
             object.__setattr__(self, "_corners", cached)
         return cached
 
+    @property
+    def corner_lists(self) -> tuple[list, list, list[tuple[list, list]]]:
+        """Bounds (lo, hi) and every obstacle's (lo, hi) as Python float lists,
+        built lazily for the scalar segment check."""
+        cached = getattr(self, "_corner_lists", None)
+        if cached is None:
+            cached = (
+                self.bounds.min_corner.tolist(),
+                self.bounds.max_corner.tolist(),
+                [(o.min_corner.tolist(), o.max_corner.tolist()) for o in self.obstacles],
+            )
+            object.__setattr__(self, "_corner_lists", cached)
+        return cached
+
 
 @dataclass(frozen=True)
 class ProblemInstance:
@@ -110,6 +123,12 @@ class ProblemInstance:
         object.__setattr__(self, "goals", tuple(as_state(g) for g in self.goals))
         if not self.goals:
             raise ValueError("at least one goal is required")
+        n = self.world.dimension
+        for name, x in (("start", self.start), *(("goal", g) for g in self.goals)):
+            if x.size != n:
+                raise ValueError(
+                    f"{name} has {x.size} coordinates but the world has dimension {n}"
+                )
         if not is_state_valid(self.world, self.start):
             raise ValueError("start state is invalid")
         for g in self.goals:
@@ -141,6 +160,21 @@ class InformedSet:
 
     def contains(self, x: State) -> bool:
         return distance(x, self.focus_a) + distance(x, self.focus_b) < self.c_current
+
+    @property
+    def transform(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(semi-axes, rotation, centre) mapping the unit ball onto the set,
+        built once per instance; the rotation's first column is the focal axis."""
+        cached = getattr(self, "_transform", None)
+        if cached is None:
+            c = self.c_current
+            axes = np.full(self.focus_a.size, math.sqrt(c * c - self.c_min**2) / 2.0)
+            axes[0] = c / 2.0
+            rot = orthonormal_basis(self.focus_b - self.focus_a)
+            center = (self.focus_a + self.focus_b) / 2.0
+            cached = (axes, rot, center)
+            object.__setattr__(self, "_transform", cached)
+        return cached
 
 
 def distance(a: State, b: State) -> float:
@@ -246,13 +280,6 @@ def sample_uniform(bounds: HyperRectangle, rng: np.random.Generator) -> State:
     return bounds.min_corner + rng.random(bounds.dimension) * bounds.widths
 
 
-@lru_cache(maxsize=64)
-def _informed_rotation(focus_a: bytes, focus_b: bytes) -> np.ndarray:
-    a = np.frombuffer(focus_a)
-    b = np.frombuffer(focus_b)
-    return orthonormal_basis(b - a)
-
-
 def sample_informed(
     informed: InformedSet, bounds: HyperRectangle, rng: np.random.Generator
 ) -> State:
@@ -269,17 +296,14 @@ def sample_informed(
     if informed.c_current <= informed.c_min:
         raise ValueError("informed set has no interior")
     n = informed.focus_a.size
-    c = informed.c_current
-    axes = np.full(n, math.sqrt(c * c - informed.c_min**2) / 2.0)
-    axes[0] = c / 2.0
-    rot = _informed_rotation(informed.focus_a.tobytes(), informed.focus_b.tobytes())
-    center = (informed.focus_a + informed.focus_b) / 2.0
+    axes, rot, center = informed.transform
+    inv_n = 1.0 / n
     for _ in range(100_000):
         raw = rng.standard_normal(n)
-        norm = float(np.linalg.norm(raw))
+        norm = math.sqrt(raw.dot(raw))  # np.linalg.norm's own arithmetic
         if norm == 0.0:
             continue
-        ball = raw / norm * rng.random() ** (1.0 / n)
+        ball = raw / norm * rng.random() ** inv_n
         x = center + rot @ (axes * ball)
         if bounds.contains(x):
             return x
@@ -293,7 +317,7 @@ def is_state_valid(world: WorldModel, x: State) -> bool:
     if not world.obstacles:
         return True
     mins, maxs = world.obstacle_corners
-    return not bool(np.any(np.all((x >= mins) & (x <= maxs), axis=1)))
+    return not ((x >= mins) & (x <= maxs)).all(axis=1).any()
 
 
 def states_valid(world: WorldModel, points: np.ndarray) -> np.ndarray:
@@ -317,25 +341,20 @@ def is_motion_valid(world: WorldModel, a: State, b: State, resolution: float) ->
     """Check the straight segment a-b at spacing <= resolution, endpoints included."""
     if resolution <= 0.0:
         raise ValueError("resolution must be positive")
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    av = a.tolist()
-    bv = b.tolist()
+    av = np.asarray(a, dtype=float).tolist()
+    bv = np.asarray(b, dtype=float).tolist()
     n = len(av)
+    blo, bhi, boxes = world.corner_lists
     # the bounds box is convex, so endpoint containment covers the segment
-    blo = world.bounds.min_corner.tolist()
-    bhi = world.bounds.max_corner.tolist()
     for k in range(n):
         if not (blo[k] <= av[k] <= bhi[k] and blo[k] <= bv[k] <= bhi[k]):
             return False
-    if not world.obstacles:
+    if not boxes:
         return True
     dv = [bv[k] - av[k] for k in range(n)]
     length = math.sqrt(sum(d * d for d in dv))
     steps = max(1, int(math.ceil(length / resolution)))
-    for obs in world.obstacles:
-        lo = obs.min_corner.tolist()
-        hi = obs.max_corner.tolist()
+    for lo, hi in boxes:
         # slab-clip the segment's parameter interval against the box, then
         # test the discretized indices that can fall inside it
         t0, t1 = 0.0, 1.0

@@ -38,7 +38,7 @@ from .geometry import (
     sample_uniform,
     states_valid,
 )
-from .neighbors import NeighborConfig, elliptical_nn_query
+from .neighbors import NeighborConfig, elliptical_nn_query, rnn_radius
 
 _EPS = 1e-12
 
@@ -190,6 +190,29 @@ class SearchTree:
             v = self.parent[v]
         out.reverse()
         return out
+
+
+class _Positions:
+    """Growable (m, n) array of states: rows are appended in place and the
+    storage doubles when full, so the filled rows are a slice, not a re-stack."""
+
+    def __init__(self, first: State):
+        self._rows = np.empty((16, first.size))
+        self._rows[0] = first
+        self.size = 1
+
+    def append(self, x: State) -> None:
+        if self.size == len(self._rows):
+            grown = np.empty((2 * self.size, self._rows.shape[1]))
+            grown[: self.size] = self._rows
+            self._rows = grown
+        self._rows[self.size] = x
+        self.size += 1
+
+    def distances(self, x: State) -> np.ndarray:
+        """Euclidean distance from x to every stored row."""
+        pts = self._rows[: self.size]
+        return np.sqrt(np.sum((pts - x) ** 2, axis=1))
 
 
 def extract_path(tree: SearchTree, goal_vertex: int) -> list[State]:
@@ -579,17 +602,21 @@ def plan_rrt_connect(problem: ProblemInstance, config: PlannerConfig) -> Planner
     counters = {"samples": 0, "collision_checks": 0}
 
     goal = min(problem.goals, key=lambda g: distance(problem.start, g))
-    # nodes as (states list, parent list); tree_a grows from the start side
+    # nodes as (states list, parent list, positions); tree_a grows from the
+    # start side
     trees = [
-        ([problem.start], [-1]),
-        ([goal], [-1]),
+        ([problem.start], [-1], _Positions(problem.start)),
+        ([goal], [-1], _Positions(goal)),
     ]
     a_is_start = True
 
     def nearest(tree, x):
-        pts = np.array(tree[0], dtype=float)
-        d = np.sqrt(np.sum((pts - x) ** 2, axis=1))
-        return int(np.argmin(d))
+        return int(np.argmin(tree[2].distances(x)))
+
+    def extend(tree, x, parent):
+        tree[0].append(x)
+        tree[1].append(parent)
+        tree[2].append(x)
 
     def motion_ok(a, b):
         counters["collision_checks"] += 1
@@ -615,8 +642,7 @@ def plan_rrt_connect(problem: ProblemInstance, config: PlannerConfig) -> Planner
         ia = nearest(ta, x_rand)
         x_new = _steer(ta[0][ia], x_rand, max_edge)
         if is_state_valid(world, x_new) and motion_ok(ta[0][ia], x_new):
-            ta[0].append(x_new)
-            ta[1].append(ia)
+            extend(ta, x_new, ia)
             # greedily connect the other tree toward x_new
             ib = nearest(tb, x_new)
             reached = False
@@ -625,8 +651,7 @@ def plan_rrt_connect(problem: ProblemInstance, config: PlannerConfig) -> Planner
                 x_step = _steer(tb[0][current], x_new, max_edge)
                 if not (is_state_valid(world, x_step) and motion_ok(tb[0][current], x_step)):
                     break
-                tb[0].append(x_step)
-                tb[1].append(current)
+                extend(tb, x_step, current)
                 current = len(tb[0]) - 1
                 if distance(x_step, x_new) <= _EPS:
                     reached = True
@@ -666,23 +691,31 @@ def plan_informed_rrt_star(problem: ProblemInstance, config: PlannerConfig) -> P
     counters = {"samples": 0, "collision_checks": 0, "neighbor_queries": 0}
 
     tree = SearchTree(problem.start)
+    positions = _Positions(problem.start)
     goal_vertex: dict[int, int] = {}
     c_best = math.inf
     best_goal: int | None = None
+    # the informed set and its measure depend only on c_best and best_goal;
+    # an improvement clears the set and the next iteration rebuilds both
+    informed: InformedSet | None = None
+    informed_measure = math.inf
+
+    def add_vertex(state: State, parent: int, edge_cost: float) -> int:
+        positions.append(state)
+        return tree.add(state, parent, edge_cost)
 
     def motion_ok(a, b):
         counters["collision_checks"] += 1
         return is_motion_valid(world, a, b, resolution)
 
     def record_improvement():
-        nonlocal c_best, best_goal
+        nonlocal c_best, best_goal, informed
         for gi, v in goal_vertex.items():
             if tree.g[v] < c_best - _EPS:
                 c_best = tree.g[v]
                 best_goal = gi
+                informed = None
                 run.events.append((clock.now(), c_best))
-
-    from .neighbors import rnn_radius
 
     max_iters = config.max_iterations if config.max_iterations is not None else 10**9
     for it in range(max_iters):
@@ -691,61 +724,56 @@ def plan_informed_rrt_star(problem: ProblemInstance, config: PlannerConfig) -> P
             break
         if c_best <= c_min + _EPS:
             break
-
-        counters["samples"] += 1
-        if not math.isfinite(c_best) and rng.random() < config.goal_bias:
-            x_rand = goals[int(rng.integers(len(goals)))]
-        elif math.isfinite(c_best):
+        if informed is None and math.isfinite(c_best):
             focus = goals[best_goal]
             informed = InformedSet(
                 problem.start, focus, c_best, distance(problem.start, focus)
             )
+            informed_measure = lebesgue_measure(c_best, c_min, n)
+
+        counters["samples"] += 1
+        if informed is not None:
             x_rand = sample_informed(informed, world.bounds, rng)
+        elif rng.random() < config.goal_bias:
+            x_rand = goals[int(rng.integers(len(goals)))]
         else:
             x_rand = sample_uniform(world.bounds, rng)
 
-        pts = np.array(tree.states, dtype=float)
-        dists = np.sqrt(np.sum((pts - x_rand) ** 2, axis=1))
-        iv = int(np.argmin(dists))
+        iv = int(np.argmin(positions.distances(x_rand)))
         x_new = _steer(tree.states[iv], x_rand, max_edge)
         if not is_state_valid(world, x_new):
             continue
-        d_new = np.sqrt(np.sum((pts - x_new) ** 2, axis=1))
+        d_new = positions.distances(x_new)
         if float(np.min(d_new)) <= _EPS:
             continue
 
         counters["neighbor_queries"] += 1
-        informed_measure = (
-            lebesgue_measure(c_best, c_min, n) if math.isfinite(c_best) else math.inf
-        )
         radius = min(
             config.rewire_factor
             * rnn_radius(len(tree) + 1, n, informed_measure, bounds_measure, config.eta),
             max_edge,
         )
-        nbr_idx = [int(i) for i in np.nonzero(d_new <= radius)[0]]
+        nbr_idx = np.flatnonzero(d_new <= radius).tolist()
         if iv not in nbr_idx:
             nbr_idx.append(iv)
+        d_list = d_new.tolist()
+        g = tree.g
 
+        # cheapest cost-to-come first; indices are unique, so they break ties
         parent = -1
-        best_g = math.inf
-        for i in sorted(nbr_idx, key=lambda i: (tree.g[i] + float(d_new[i]), i)):
-            cand = tree.g[i] + float(d_new[i])
-            if cand >= best_g:
-                break
+        for _, i in sorted([(g[i] + d_list[i], i) for i in nbr_idx]):
             if motion_ok(tree.states[i], x_new):
                 parent = i
-                best_g = cand
                 break
         if parent == -1:
             continue
-        w = tree.add(x_new, parent, float(d_new[parent]))
+        w = add_vertex(x_new, parent, d_list[parent])
 
         for i in nbr_idx:
             if i == parent or i == 0:
                 continue
-            d = float(d_new[i])
-            if tree.g[w] + d >= tree.g[i] - _EPS:
+            d = d_list[i]
+            if g[w] + d >= g[i] - _EPS:
                 continue
             if tree.is_ancestor(i, w):
                 continue
@@ -757,14 +785,14 @@ def plan_informed_rrt_star(problem: ProblemInstance, config: PlannerConfig) -> P
             d = distance(x_new, gstate)
             if d <= 0.0 or d > max_edge:
                 continue
-            g_new = tree.g[w] + d
+            g_new = g[w] + d
             existing = goal_vertex.get(gi)
-            bound = c_best if existing is None else min(c_best, tree.g[existing])
+            bound = c_best if existing is None else min(c_best, g[existing])
             if g_new >= bound - _EPS:
                 continue
             if motion_ok(x_new, gstate):
                 if existing is None:
-                    goal_vertex[gi] = tree.add(gstate, w, d)
+                    goal_vertex[gi] = add_vertex(gstate, w, d)
                 else:
                     tree.reparent(existing, w, d)
         record_improvement()

@@ -53,6 +53,16 @@ class TestPlan:
         capsys.readouterr()
         assert code == 1
 
+    def test_dimension_mismatch_exit_2(self, tmp_path, capsys):
+        world = tmp_path / "w.json"
+        run_cli("worldgen", "--family", "empty", "--dim", "2", "--out", str(world))
+        code = run_cli("plan", "--world", str(world), "--planner", "apt",
+                       "--start", "0.1,0.5,0.5", "--max-iters", "1")
+        assert code == 2
+        assert "start has 3 coordinates but the world has dimension 2" in (
+            capsys.readouterr().err
+        )
+
     def test_missing_world_exit_2(self):
         assert run_cli("plan", "--world", "/nonexistent.json", "--planner", "apt",
                        "--max-iters", "1") == 2

@@ -25,6 +25,7 @@ from aptstar.geometry import (
     world_from_dict,
     world_to_dict,
 )
+from aptstar.worlds import WorldSpec, make_world
 
 from oracles import mc_two_focus_volume, motion_valid_fine
 
@@ -117,6 +118,21 @@ class TestSampleInformed:
     def test_cost_below_cmin_rejected(self):
         with pytest.raises(ValueError):
             InformedSet([0.0, 0.0], [1.0, 0.0], 0.5, 1.0)
+
+    def test_alternating_sets_keep_their_own_transform(self):
+        # a transform cached on the wrong set, or shared between sets, puts
+        # the narrow set's draws far outside it
+        rng = np.random.default_rng(4)
+        box = HyperRectangle(np.full(3, -3.0), np.full(3, 3.0))
+        narrow = InformedSet([0.0, 0.0, 0.0], [1.0, 0.0, 0.0], 1.0 + 1e-3, 1.0)
+        fa, fb = np.array([-1.0, 0.5, 0.2]), np.array([0.4, -1.2, 1.0])
+        c_min = distance(fa, fb)
+        wide = InformedSet(fa, fb, 1.5 * c_min, c_min)
+        for _ in range(300):
+            for informed in (narrow, wide):
+                x = sample_informed(informed, box, rng)
+                assert informed.contains(x)
+                assert box.contains(x)
 
     @given(st.integers(0, 10_000))
     @settings(max_examples=30, deadline=None)
@@ -263,6 +279,56 @@ class TestMotionValid:
         )
 
 
+def _oracle_edges(world, rng, count, max_length):
+    """Random short edges (endpoints may leave the bounds), axis-parallel
+    edges, and edges lying in an obstacle face."""
+    n = world.dimension
+    edges = []
+    for _ in range(count):
+        a = rng.uniform(0.0, 1.0, n)
+        step = rng.standard_normal(n)
+        edges.append((a, a + step / np.linalg.norm(step) * rng.uniform(0.0, max_length)))
+    for obs in world.obstacles:
+        lo, hi = obs.min_corner, obs.max_corner
+        for _ in range(20):
+            # every axis but one keeps its coordinate: the dv[k] == 0 branch
+            a = rng.uniform(np.maximum(lo - 0.1, 0.0), np.minimum(hi + 0.1, 1.0))
+            b = a.copy()
+            b[int(rng.integers(n))] = rng.uniform(0.0, 1.0)
+            edges.append((a, b))
+            # both endpoints on one face plane of the closed box
+            k = int(rng.integers(n))
+            face = (lo if rng.random() < 0.5 else hi)[k]
+            a = rng.uniform(np.maximum(lo - 0.1, 0.0), np.minimum(hi + 0.1, 1.0))
+            b = rng.uniform(np.maximum(lo - 0.1, 0.0), np.minimum(hi + 0.1, 1.0))
+            a[k] = b[k] = face
+            edges.append((a, b))
+    return edges
+
+
+class TestMotionOracleEqualResolution:
+    @pytest.mark.parametrize(
+        "spec, max_length",
+        [
+            (WorldSpec("random_rectangles", 4, seed=0, obstacle_count=60,
+                       width_range=(0.25, 0.45)), 0.5),
+            (WorldSpec("dividing_wall", 8, seed=0), 1.25),
+        ],
+        ids=["rr-d4-60-boxes", "dw-d8"],
+    )
+    def test_equals_fine_oracle_at_same_resolution(self, spec, max_length):
+        world = make_world(spec)
+        res = default_motion_resolution(world)
+        boxes = [(o.min_corner.tolist(), o.max_corner.tolist()) for o in world.obstacles]
+        lo, hi = world.bounds.min_corner.tolist(), world.bounds.max_corner.tolist()
+        edges = _oracle_edges(world, np.random.default_rng(23), 2000, max_length)
+        got = [is_motion_valid(world, a, b, res) for a, b in edges]
+        want = [motion_valid_fine(boxes, lo, hi, a, b, res) for a, b in edges]
+        mismatches = [e for e, g, w in zip(edges, got, want) if g != w]
+        assert not mismatches, mismatches[:3]
+        assert 0 < sum(got) < len(got)
+
+
 class TestOrthonormalBasis:
     def test_axis_aligned(self):
         assert np.array_equal(orthonormal_basis(np.array([1.0, 0.0, 0.0])), np.eye(3))
@@ -312,6 +378,16 @@ class TestProblemInstance:
         world = unit_world()
         with pytest.raises(ValueError):
             ProblemInstance(world, [0.5, 0.5], ([0.5, 0.5],))
+
+    def test_start_dimension_mismatch_named(self):
+        message = "start has 3 coordinates but the world has dimension 2"
+        with pytest.raises(ValueError, match=message):
+            ProblemInstance(unit_world(), [0.05, 0.5, 0.5], ([0.95, 0.5],))
+
+    def test_goal_dimension_mismatch_named(self):
+        message = "goal has 1 coordinates but the world has dimension 2"
+        with pytest.raises(ValueError, match=message):
+            ProblemInstance(unit_world(), [0.05, 0.5], ([0.95, 0.5], [0.9]))
 
 
 class TestUnitBallVolume:

@@ -289,3 +289,269 @@ class TestInformedRrtStar:
 class TestRegistry:
     def test_all_planners_registered(self):
         assert set(PLANNERS) == {"apt", "bit", "rrt_connect", "informed_rrt_star"}
+
+
+GOLDEN_PROBLEMS = {
+    "w2": make_problem(DW_OFFSET),
+    # a 4-D wall with one gap, and a box between the start and the wall
+    "w4": ProblemInstance(
+        WorldModel(
+            HyperRectangle([0.0] * 4, [1.0] * 4),
+            (
+                HyperRectangle([0.45, 0.0, 0.0, 0.0], [0.55, 0.3, 1.0, 1.0]),
+                HyperRectangle([0.45, 0.4, 0.0, 0.0], [0.55, 1.0, 1.0, 1.0]),
+                HyperRectangle([0.2, 0.35, 0.3, 0.3], [0.3, 0.65, 0.7, 0.7]),
+            ),
+        ),
+        [0.05, 0.5, 0.5, 0.5],
+        ([0.95, 0.5, 0.5, 0.5],),
+    ),
+}
+GOLDEN_BUDGETS = {"apt": 3, "bit": 3, "rrt_connect": 300, "informed_rrt_star": 400}
+# (world, planner, seed) -> (events, counters) of seeded iteration-budget runs,
+# as exact float literals: a change to one bit of any event cost fails the
+# test. A change that alters seeded runs on purpose re-records these and says
+# why.
+GOLDEN_RUNS = {
+    ("w2", "apt", 2): (
+        [
+            (0.0, 1.1031565415252782),
+            (0.0, 1.0909891353719936),
+            (0.0, 1.0642887528556262),
+            (0.0, 1.0327036216033396),
+            (1.0, 1.0326801754360608),
+            (1.0, 1.0317451947465335),
+            (1.0, 1.0260722384761716),
+            (1.0, 1.014148550398363),
+            (2.0, 1.0058685994960759),
+            (2.0, 1.0057340630158476),
+            (2.0, 1.0019284693550188),
+            (2.0, 1.0002535424509273),
+            (2.0, 1.0002343928326232),
+        ],
+        {
+            "samples": 496,
+            "collision_checks": 1349,
+            "neighbor_queries": 249,
+            "shrink_rounds": 1441,
+            "batches": 3,
+        },
+    ),
+    ("w2", "apt", 8): (
+        [
+            (0.0, 1.1326373606415197),
+            (0.0, 1.1311144042181889),
+            (0.0, 1.0243462694740237),
+            (0.0, 1.0236110555024367),
+            (1.0, 1.015387399978637),
+            (2.0, 1.0118564434968338),
+            (2.0, 1.0057395823521154),
+        ],
+        {
+            "samples": 496,
+            "collision_checks": 1242,
+            "neighbor_queries": 277,
+            "shrink_rounds": 1434,
+            "batches": 3,
+        },
+    ),
+    ("w2", "bit", 2): (
+        [
+            (0.0, 1.133186274473243),
+            (0.0, 1.1156910224287455),
+            (0.0, 1.0789126739120767),
+            (0.0, 1.0327036216033396),
+            (2.0, 1.021326764039037),
+        ],
+        {
+            "samples": 300,
+            "collision_checks": 442,
+            "neighbor_queries": 159,
+            "shrink_rounds": 159,
+            "batches": 3,
+        },
+    ),
+    ("w2", "bit", 8): (
+        [
+            (0.0, 1.1973757823136275),
+            (0.0, 1.145879949685013),
+            (0.0, 1.1156955971798377),
+            (0.0, 1.113382853905022),
+            (1.0, 1.0376163009583843),
+            (1.0, 1.0344968152091574),
+            (1.0, 1.0313420055908782),
+            (2.0, 1.024009651049002),
+            (2.0, 1.012075065966849),
+        ],
+        {
+            "samples": 300,
+            "collision_checks": 512,
+            "neighbor_queries": 150,
+            "shrink_rounds": 150,
+            "batches": 3,
+        },
+    ),
+    ("w2", "informed_rrt_star", 2): (
+        [
+            (18.0, 1.1225117872415913),
+            (19.0, 1.0950876390831583),
+            (20.0, 1.0880893126213655),
+            (22.0, 1.0768430718186561),
+            (23.0, 1.036368654465267),
+            (40.0, 1.0271803294492834),
+            (70.0, 1.0132378815937317),
+            (99.0, 1.0129406451892002),
+            (133.0, 1.0129235082022852),
+            (397.0, 1.0120631767487835),
+        ],
+        {"samples": 400, "collision_checks": 858, "neighbor_queries": 363},
+    ),
+    ("w2", "informed_rrt_star", 8): (
+        [
+            (18.0, 1.07890846135086),
+            (38.0, 1.0519174902902404),
+            (48.0, 1.038350871083973),
+            (49.0, 1.0285513693299417),
+            (56.0, 1.01954573555068),
+            (132.0, 1.008269438028773),
+            (168.0, 1.008201474966913),
+            (184.0, 1.006211652366359),
+            (201.0, 1.0060824877998744),
+            (248.0, 1.0031941421523862),
+        ],
+        {"samples": 400, "collision_checks": 775, "neighbor_queries": 360},
+    ),
+    ("w2", "rrt_connect", 2): (
+        [
+            (58.0, 1.3779460290780168),
+        ],
+        {"samples": 59, "collision_checks": 80},
+    ),
+    ("w2", "rrt_connect", 8): (
+        [
+            (15.0, 1.2237034990382027),
+        ],
+        {"samples": 16, "collision_checks": 18},
+    ),
+    ("w4", "apt", 2): (
+        [
+            (0.0, 1.211613383510325),
+            (0.0, 1.1888480221983797),
+            (1.0, 1.1524643380022028),
+            (1.0, 1.1349140526014294),
+            (2.0, 1.054011966701243),
+        ],
+        {
+            "samples": 488,
+            "collision_checks": 411,
+            "neighbor_queries": 36,
+            "shrink_rounds": 532,
+            "batches": 3,
+        },
+    ),
+    ("w4", "apt", 8): (
+        [
+            (0.0, 1.350924382417202),
+            (0.0, 1.3503807769644993),
+            (0.0, 1.3315531165970833),
+            (0.0, 1.3243542904426442),
+            (1.0, 1.271506466176918),
+            (1.0, 1.1751358440814814),
+            (1.0, 1.1468765404460184),
+        ],
+        {
+            "samples": 411,
+            "collision_checks": 434,
+            "neighbor_queries": 60,
+            "shrink_rounds": 946,
+            "batches": 3,
+        },
+    ),
+    ("w4", "bit", 2): (
+        [
+            (0.0, 1.211613383510325),
+            (0.0, 1.1888480221983797),
+            (1.0, 1.185049969912892),
+            (2.0, 1.1513434285744508),
+            (2.0, 1.1350550843703842),
+        ],
+        {
+            "samples": 300,
+            "collision_checks": 240,
+            "neighbor_queries": 43,
+            "shrink_rounds": 43,
+            "batches": 3,
+        },
+    ),
+    ("w4", "bit", 8): (
+        [
+            (0.0, 1.350924382417202),
+            (0.0, 1.3503807769644993),
+            (0.0, 1.3315531165970833),
+            (0.0, 1.3243542904426442),
+            (1.0, 1.1468765404460184),
+            (2.0, 1.112423244465925),
+            (2.0, 1.0517269558560836),
+        ],
+        {
+            "samples": 300,
+            "collision_checks": 162,
+            "neighbor_queries": 21,
+            "shrink_rounds": 21,
+            "batches": 3,
+        },
+    ),
+    ("w4", "informed_rrt_star", 2): (
+        [
+            (87.0, 2.1105140637801107),
+            (136.0, 1.472397762934804),
+            (157.0, 1.367348335316127),
+            (168.0, 1.3325769241798358),
+            (180.0, 1.318986323334335),
+            (181.0, 1.2507055812656387),
+            (197.0, 1.164436653605368),
+            (204.0, 1.1540200597052261),
+            (223.0, 1.1482421331414165),
+            (247.0, 1.1383862878764515),
+            (261.0, 1.1330248110392307),
+            (302.0, 1.0878195192442406),
+            (331.0, 1.0748557538210814),
+        ],
+        {"samples": 400, "collision_checks": 1713, "neighbor_queries": 346},
+    ),
+    ("w4", "informed_rrt_star", 8): (
+        [
+            (26.0, 1.6611129902212092),
+            (38.0, 1.4596006792699572),
+            (40.0, 1.2627990722620388),
+            (49.0, 1.0685863551358188),
+            (242.0, 1.0662307046497357),
+            (317.0, 1.0636893340968598),
+        ],
+        {"samples": 400, "collision_checks": 2204, "neighbor_queries": 308},
+    ),
+    ("w4", "rrt_connect", 2): (
+        [
+            (11.0, 1.9414403663696191),
+        ],
+        {"samples": 12, "collision_checks": 14},
+    ),
+    ("w4", "rrt_connect", 8): (
+        [
+            (85.0, 2.5366086819601725),
+        ],
+        {"samples": 86, "collision_checks": 118},
+    ),
+}
+
+
+class TestGoldenEventLogs:
+    @pytest.mark.parametrize("world, planner, seed", sorted(GOLDEN_RUNS))
+    def test_seeded_run_matches_recorded_log(self, world, planner, seed):
+        run = PLANNERS[planner](
+            GOLDEN_PROBLEMS[world],
+            PlannerConfig(max_iterations=GOLDEN_BUDGETS[planner], rng_seed=seed),
+        )
+        events, counters = GOLDEN_RUNS[world, planner, seed]
+        assert run.events == events
+        assert run.counters == counters

@@ -36,9 +36,6 @@ from .neighbors import (
     coulomb_force,
     eccentricity,
     elliptical_nearest_neighbors,
-    in_ellipse,
-    orthonormal_frame,
-    prolate_axes,
     rnn_radius,
 )
 from .planner import (

@@ -55,34 +55,51 @@ class NeighborConfig:
 
 @dataclass(frozen=True)
 class EllipsoidRegion:
-    """Prolate neighbor region: center, orthonormal frame, semi-axis lengths."""
+    """Prolate neighbor region: a center, a unit major axis and two radii.
+
+    A point c + y is inside when (p / major)^2 + (|y|^2 - p^2) / minor^2 < 1
+    with p = y . axis. A region without an axis is the open ball of radius
+    ``minor`` (and ``major == minor``).
+    """
 
     center: State
-    frame: np.ndarray
-    semi_axes: np.ndarray
+    axis: np.ndarray | None
+    major: float
+    minor: float
 
     def __post_init__(self):
-        object.__setattr__(self, "center", as_state(self.center))
-        object.__setattr__(self, "frame", np.asarray(self.frame, dtype=float))
-        object.__setattr__(self, "semi_axes", np.asarray(self.semi_axes, dtype=float))
-        n = self.center.size
-        if self.frame.shape != (n, n):
-            raise ValueError("frame must be n x n")
-        if self.semi_axes.shape != (n,):
-            raise ValueError("one semi-axis per dimension required")
-        if np.any(self.semi_axes <= 0.0):
-            raise ValueError("semi-axes must be positive")
-        if np.max(np.abs(self.frame.T @ self.frame - np.eye(n))) > 1e-9:
-            raise ValueError("frame is not orthonormal")
+        if not self.minor > 0.0:
+            raise ValueError("radii must be positive")
+        if not self.major >= self.minor:
+            raise ValueError("the major radius must not be below the minor radius")
+        if self.axis is None and self.major != self.minor:
+            raise ValueError("a region without an axis must be a ball")
 
     def contains(self, points: np.ndarray) -> np.ndarray:
-        """Strict quadratic-form membership for an (m, n) array of points."""
+        """Strict membership for an (m, n) array of points."""
         points = np.atleast_2d(np.asarray(points, dtype=float))
-        local = (points - self.center) @ self.frame
-        return np.sum((local / self.semi_axes) ** 2, axis=1) < 1.0
+        return self.contains_offsets(points - self.center)
+
+    def contains_offsets(self, offsets: np.ndarray) -> np.ndarray:
+        """Strict membership of center + offsets[i] for an (m, n) array of offsets."""
+        if self.axis is None:
+            return np.einsum("ij,ij->i", offsets / self.minor, offsets / self.minor) < 1.0
+        p = offsets @ self.axis
+        d2 = np.einsum("ij,ij->i", offsets, offsets)
+        return (p / self.major) ** 2 + (d2 - p * p) / (self.minor * self.minor) < 1.0
 
     def contains_point(self, x: State) -> bool:
         return bool(self.contains(np.asarray(x, dtype=float)[None, :])[0])
+
+    def scaled(self, factor: float) -> EllipsoidRegion:
+        """The region with both radii multiplied by factor."""
+        return EllipsoidRegion(self.center, self.axis, self.major * factor, self.minor * factor)
+
+    def frame(self) -> np.ndarray:
+        """Orthonormal n x n frame whose first column is the axis; identity for a ball."""
+        if self.axis is None:
+            return np.eye(np.asarray(self.center).size)
+        return orthonormal_basis(self.axis)
 
 
 def rnn_radius(
@@ -140,40 +157,15 @@ def coulomb_force(
     return np.sum((signs * magnitude)[:, None] * unit, axis=0)
 
 
-def orthonormal_frame(f: np.ndarray) -> np.ndarray:
-    """Frame whose first column is the force direction; identity for zero force."""
-    return orthonormal_basis(np.asarray(f, dtype=float))
-
-
-def prolate_axes(r: float, f: np.ndarray, config: NeighborConfig) -> np.ndarray:
-    """Semi-axes of the prolated region: d1 = r(1 + k * ||f||), rest stay at r.
-
-    The major axis is capped at max_prolongation * r.
-    """
-    if r <= 0.0:
-        raise ValueError("base radius must be positive")
-    f = np.asarray(f, dtype=float)
-    fnorm = float(np.sqrt(np.sum(f * f)))
-    axes = np.full(f.size, r)
-    axes[0] = min(r * (1.0 + config.k * fnorm), r * config.max_prolongation)
-    return axes
-
-
-def in_ellipse(x_center: State, x_i: State, region: EllipsoidRegion) -> bool:
-    """Strict-inequality membership of x_i in the region centered at x_center."""
-    if not np.array_equal(np.asarray(x_center, dtype=float), region.center):
-        region = EllipsoidRegion(x_center, region.frame, region.semi_axes)
-    return region.contains_point(x_i)
-
-
 def eccentricity(region: EllipsoidRegion, r: float) -> float:
     """Normalized geometric-mean eccentricity; 0 iff the region is a ball."""
     if r <= 0.0:
         raise ValueError("base radius must be positive")
-    d = region.semi_axes
-    if np.any(d < r * (1.0 - 1e-12)):
+    if region.minor < r * (1.0 - 1e-12):
         raise ValueError("malformed region: semi-axis below the base radius")
-    gm = float(np.exp(np.mean(np.log(d))))
+    # geometric mean of one major and n - 1 minor semi-axes
+    n = np.asarray(region.center).size
+    gm = region.minor * (region.major / region.minor) ** (1.0 / n)
     radicand = min(max(1.0 - r / gm, 0.0), 1.0 - 1e-16)
     return math.sqrt(radicand)
 
@@ -199,12 +191,12 @@ def elliptical_nn_query(
     """Core query: (valid member indices, final region, base radius).
 
     Candidates start as the samples within max_prolongation * r of x (a
-    superset of anything the region can ever contain); the virtual force is
-    accumulated over the surviving candidates each round and membership
+    superset of anything the region can ever contain), or within r when the
+    charge is zero and the region can only be the r-ball; the virtual force
+    is accumulated over the surviving candidates each round and membership
     retested until the invalid ratio drops below phi_threshold or the round
-    bound is hit. The region's frame is built once, for the final force.
-    Invalid samples are stripped from the result. Callers with precomputed
-    position and validity arrays may pass samples as None.
+    bound is hit. Invalid samples are stripped from the result. Callers with
+    precomputed position and validity arrays may pass samples as None.
     """
     x = np.asarray(x, dtype=float)
     if positions is None:
@@ -212,14 +204,22 @@ def elliptical_nn_query(
             len(samples), n
         )
     r = radius_factor * rnn_radius(batch_size, n, informed_measure, bounds_measure, eta)
-    reach = config.max_prolongation * r
+    # the cap on the major radius, so no region reaches farther
+    cap = r * config.max_prolongation
     if len(positions) == 0:
         return [], None, r
-    if kdtree is not None:
-        cand = np.sort(np.asarray(kdtree.query_ball_point(x, reach), dtype=int))
+    q = float(charge_fn(batch_size))
+    ke_q2 = config.k_e * q * q
+    if ke_q2 == 0.0:
+        # the force stays zero, so the region is the r-ball; the margin keeps
+        # points the ball test admits inside the index's distance cut
+        cand = _gather(x, r * (1.0 + 1e-9), kdtree, positions)
+        if cand.size == 0:
+            # whether anything lies within the cap still decides between no
+            # round and one empty round
+            cand = _gather(x, cap, kdtree, positions)
     else:
-        dist = np.sqrt(np.einsum("ij,ij->i", positions - x, positions - x))
-        cand = np.nonzero(dist <= reach)[0]
+        cand = _gather(x, cap, kdtree, positions)
     if cand.size == 0:
         return [], None, r
     if valid is not None:
@@ -228,12 +228,9 @@ def elliptical_nn_query(
         valid_flags = np.fromiter(
             (samples[i].valid for i in cand), dtype=bool, count=cand.size
         )
-    cand_pos = positions[cand]
-    q = float(charge_fn(batch_size))
-    ke_q2 = config.k_e * q * q
     # per-candidate geometry is invariant across rounds (candidates only
     # shrink), so compute distances, magnitudes, and weights once
-    diff = cand_pos - x
+    diff = positions[cand] - x
     d2 = np.einsum("ij,ij->i", diff, diff)
     d = np.maximum(np.sqrt(d2), config.min_pair_distance)
     mag = ke_q2 / d ** (n - 1)
@@ -242,11 +239,13 @@ def elliptical_nn_query(
     # Every region contains the open r-ball, so once all candidates lie
     # inside it (with a margin for rounding in the membership test) no later
     # round can drop one: membership and phi are final and the remaining
-    # rounds only add the same force step again.
+    # rounds only add the same force step again. _settled proves the same
+    # for candidates outside the ball.
     ball2 = r2 * (1.0 - 1e-9)
-    final = bool(np.all(d2 < ball2))
+    final = bool((d2 < ball2).all())
     force = np.zeros(n)
     step = None  # force increment of the current candidate set
+    checked = False  # _settled has run for this step; its end force stays the same
     n_total = cand.size
     n_invalid = int(np.count_nonzero(~valid_flags))
     phi = 1.0
@@ -259,12 +258,13 @@ def elliptical_nn_query(
             step = np.where(valid_flags, weight, -weight) @ diff
         force = force + step
         fnorm = math.sqrt(float(force @ force))
-        major = min(r * (1.0 + config.k * fnorm), r * config.max_prolongation)
+        major = min(r * (1.0 + config.k * fnorm), cap)
         if not final:
             if fnorm > 0.0:
                 # prolate test in closed form: every minor semi-axis is r
                 p = diff @ (force / fnorm)
-                inside = (p / major) ** 2 + (d2 - p * p) / r2 < 1.0
+                form = (p / major) ** 2 + (d2 - p * p) / r2
+                inside = form < 1.0
             else:
                 inside = np.einsum("ij,ij->i", diff / r, diff / r) < 1.0
             n_inside = int(np.count_nonzero(inside))
@@ -279,9 +279,23 @@ def elliptical_nn_query(
                 weight = weight[inside]
                 d2 = d2[inside]
                 step = None
+                checked = False
                 n_total = n_inside
                 n_invalid = int(np.count_nonzero(~valid_flags))
-                final = bool(np.all(d2 < ball2))
+                final = bool((d2 < ball2).all())
+            elif (
+                not checked
+                and major == cap
+                and fnorm > 0.0
+                and rounds < config.max_shrink_rounds
+                and n_invalid / n_total >= config.phi_threshold
+                and float(force @ step) >= 0.0
+            ):
+                checked = True
+                f_end = force + (config.max_shrink_rounds - rounds) * step
+                final = _settled(diff, d2, p, form, f_end, cap, r2, ball2)
+                if final and stats is not None:
+                    stats["settled"] = stats.get("settled", 0) + 1
         phi = n_invalid / n_total
         if trace is not None:
             trace.write(
@@ -294,14 +308,52 @@ def elliptical_nn_query(
     return cand[valid_flags].tolist(), _region(x, force, fnorm, major, r), r
 
 
+def _gather(
+    x: State, reach: float, kdtree: cKDTree | None, positions: np.ndarray
+) -> np.ndarray:
+    """Sorted indices of the positions within reach of x."""
+    if kdtree is not None:
+        return np.sort(np.asarray(kdtree.query_ball_point(x, reach), dtype=int))
+    dist = np.sqrt(np.einsum("ij,ij->i", positions - x, positions - x))
+    return np.nonzero(dist <= reach)[0]
+
+
+def _settled(
+    diff: np.ndarray,
+    d2: np.ndarray,
+    p: np.ndarray,
+    form: np.ndarray,
+    f_end: np.ndarray,
+    cap: float,
+    r2: float,
+    ball2: float,
+) -> bool:
+    """Can no remaining round of a settled candidate set drop a candidate?
+
+    Called after a round that dropped nothing, with the major radius at its
+    cap and force . step >= 0; p and form are that round's projections and
+    quadratic forms, and f_end is the force after the last round. The later
+    forces force + j * step then never shrink, so the cap holds, and their
+    directions sweep an arc of less than 90 degrees from force to f_end. On
+    such an arc a projection that keeps one sign has its smallest magnitude
+    at an end, and the form only grows as p^2 falls. So a candidate whose
+    projection keeps its sign and whose form is below 1 - 1e-9 at both ends
+    stays inside; candidates inside the r-ball margin always do. The margin
+    absorbs the rounding of the repeated additions.
+    """
+    fe_norm = math.sqrt(float(f_end @ f_end))
+    p_end = diff @ (f_end / fe_norm)
+    form_end = (p_end / cap) ** 2 + (d2 - p_end * p_end) / r2
+    bound = 1.0 - 1e-9
+    held = (p * p_end > 0.0) & (form < bound) & (form_end < bound)
+    return bool((held | (d2 < ball2)).all())
+
+
 def _region(
     x: State, force: np.ndarray, fnorm: float, major: float, r: float
 ) -> EllipsoidRegion:
-    """The region for the final force, with its frame built once per query."""
-    frame = orthonormal_basis(force) if fnorm > 0.0 else np.eye(x.size)
-    axes = np.full(x.size, r)
-    axes[0] = major
-    return EllipsoidRegion(x, frame, axes)
+    """The region for the final force: its direction, the major radius and r."""
+    return EllipsoidRegion(x, force / fnorm if fnorm > 0.0 else None, major, r)
 
 
 def elliptical_nn_indices(

@@ -507,23 +507,16 @@ def plan_apt(
                 )
                 try_goal(w)
 
-            # Rewiring candidates come from the same prolate region with every
-            # semi-axis scaled by rewire_factor, restricted to tree vertices.
+            # Rewiring candidates come from the same prolate region with both
+            # radii scaled by rewire_factor, restricted to tree vertices.
             if region is not None and tree_kd is not None:
-                scaled_axes = region.semi_axes * config.rewire_factor
-                reach = float(np.max(scaled_axes))
+                rewire_region = region.scaled(config.rewire_factor)
                 cand = np.array(
-                    sorted(tree_kd.query_ball_point(xv, reach)), dtype=int
+                    sorted(tree_kd.query_ball_point(xv, rewire_region.major)), dtype=int
                 )
                 if cand.size:
                     rel = positions[cand + n_pool] - xv
-                    local = rel @ region.frame
-                    inside = (
-                        np.einsum(
-                            "ij,ij->i", local / scaled_axes, local / scaled_axes
-                        )
-                        < 1.0
-                    )
+                    inside = rewire_region.contains_offsets(rel)
                     cand = cand[inside]
                     rel = rel[inside]
                     rewire_d = np.sqrt(np.einsum("ij,ij->i", rel, rel))

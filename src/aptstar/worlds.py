@@ -20,6 +20,7 @@ from .geometry import (
     State,
     WorldModel,
     is_state_valid,
+    states_valid,
 )
 
 FAMILIES = ("empty", "dividing_wall", "random_rectangles")
@@ -166,6 +167,27 @@ def make_problem(spec: WorldSpec) -> ProblemInstance:
     return ProblemInstance(world, start, (goal,))
 
 
+def free_cells(world: WorldModel, grid: int = 64) -> np.ndarray:
+    """Validity of the grid-cell centers, one states_valid call per grid row.
+
+    Entry [i, j] is the state ((i + 0.5) / grid, (j + 0.5) / grid, 0.5, ...).
+    In one dimension the result is the single row over the first axis.
+    Row by row because states_valid's temporary holds rows x boxes x n
+    values; one call over all grid^2 cells raised peak memory.
+    """
+    n = world.dimension
+    centers = (np.arange(grid) + 0.5) / grid
+    if n == 1:
+        return states_valid(world, centers[:, None])
+    row = np.full((grid, n), 0.5)
+    row[:, 1] = centers
+    free = np.empty((grid, grid), dtype=bool)
+    for i in range(grid):
+        row[:, 0] = centers[i]
+        free[i] = states_valid(world, row)
+    return free
+
+
 def is_feasible(world: WorldModel, grid: int = 64) -> bool:
     """Coarse BFS over the first two dimensions (others held at 0.5).
 
@@ -176,23 +198,12 @@ def is_feasible(world: WorldModel, grid: int = 64) -> bool:
     start, goal = canonical_start_goal(n)
     if not (is_state_valid(world, start) and is_state_valid(world, goal)):
         return False
+    free = free_cells(world, grid)
     if n == 1:
-        grid_pts = np.full((grid, n), 0.5)
-        grid_pts[:, 0] = (np.arange(grid) + 0.5) / grid
-        free = [is_state_valid(world, p) for p in grid_pts]
         si = min(int(start[0] * grid), grid - 1)
         gi = min(int(goal[0] * grid), grid - 1)
         lo_i, hi_i = min(si, gi), max(si, gi)
-        return all(free[lo_i : hi_i + 1])
-
-    free = np.zeros((grid, grid), dtype=bool)
-    probe = np.full(n, 0.5)
-    for i in range(grid):
-        probe[0] = (i + 0.5) / grid
-        for j in range(grid):
-            probe[1] = (j + 0.5) / grid
-            free[i, j] = is_state_valid(world, probe)
-    probe[1] = 0.5
+        return bool(free[lo_i : hi_i + 1].all())
 
     def cell(x):
         return (

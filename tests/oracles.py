@@ -77,11 +77,14 @@ def gram_schmidt_columns(f) -> list[list[float]]:
 
 
 def brute_elliptical_nn(x, samples, batch_size, n, config, charge, eta=1.0,
-                        informed_measure=math.inf, bounds_measure=1.0):
+                        informed_measure=math.inf, bounds_measure=1.0,
+                        with_rounds=False):
     """Straight-line re-execution of the shrink loop, no spatial index.
 
     samples: sequence of (position tuple, valid flag). Returns sorted indices
-    of the valid members of the final region.
+    of the valid members of the final region; with with_rounds, also the
+    list of (survivors, invalid survivors) after each round, one entry per
+    round.
     """
     b = max(2, int(batch_size))
     measure = min(informed_measure, bounds_measure)
@@ -89,9 +92,14 @@ def brute_elliptical_nn(x, samples, batch_size, n, config, charge, eta=1.0,
     r = 2.0 * eta * ((1.0 + 1.0 / n) * (measure / ball) * (math.log(b) / b)) ** (1.0 / n)
     reach = config.max_prolongation * r
 
+    rounds_log = []
+
+    def result(indices):
+        return (indices, rounds_log) if with_rounds else indices
+
     cand = [i for i in range(len(samples)) if euclid(x, samples[i][0]) <= reach]
     if not cand:
-        return []
+        return result([])
     force = [0.0] * n
     phi = 1.0
     rounds = 0
@@ -125,11 +133,12 @@ def brute_elliptical_nn(x, samples, batch_size, n, config, charge, eta=1.0,
                 survivors.append(i)
                 if not valid:
                     n_invalid += 1
+        rounds_log.append((len(survivors), n_invalid))
         if not survivors:
-            return []
+            return result([])
         phi = n_invalid / len(survivors)
         cand = survivors
-    return [i for i in cand if samples[i][1]]
+    return result([i for i in cand if samples[i][1]])
 
 
 def _segment_hits_interior(a, b, lo, hi, eps=1e-12) -> bool:

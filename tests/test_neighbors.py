@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial import cKDTree
 
 from aptstar.geometry import orthonormal_basis
 from aptstar.neighbors import (
@@ -15,13 +16,11 @@ from aptstar.neighbors import (
     eccentricity,
     elliptical_nearest_neighbors,
     elliptical_nn_indices,
-    in_ellipse,
-    orthonormal_frame,
-    prolate_axes,
+    elliptical_nn_query,
     rnn_radius,
 )
 
-from oracles import brute_elliptical_nn
+from oracles import brute_elliptical_nn, gram_schmidt_columns
 
 
 CFG = NeighborConfig()
@@ -117,80 +116,177 @@ class TestCoulombForce:
         assert np.all(np.isfinite(f))
 
 
+def query_region(x, pts, flags, charge, n, cfg=CFG, batch=12):
+    """The region and base radius of one query with a constant charge."""
+    samples = samples_from(pts, flags, charge)
+    _, region, r = elliptical_nn_query(
+        np.asarray(x, dtype=float), samples, batch, n, cfg, lambda b: charge
+    )
+    return region, r
+
+
 class TestFrameAndAxes:
     def test_identity_frame(self):
-        assert np.array_equal(orthonormal_frame(np.array([1.0, 0.0])), np.eye(2))
+        region = EllipsoidRegion(np.zeros(2), np.array([1.0, 0.0]), 2.0, 1.0)
+        assert np.array_equal(region.frame(), np.eye(2))
+        assert np.array_equal(EllipsoidRegion(np.zeros(3), None, 1.0, 1.0).frame(), np.eye(3))
 
     def test_prolate_axes(self):
+        # one valid sample on the first axis pulls with |f| = q^2 / d^2 = 0.5
         cfg = NeighborConfig(k=1.0)
-        axes = prolate_axes(1.0, np.array([0.5, 0.0, 0.0]), cfg)
-        assert np.allclose(axes, [1.5, 1.0, 1.0])
+        r = rnn_radius(12, 3, math.inf, 1.0)
+        d = 0.5 * r
+        region, got_r = query_region(
+            np.zeros(3), [(d, 0.0, 0.0)], [True], d * math.sqrt(0.5), 3, cfg
+        )
+        assert got_r == r
+        assert region.major == pytest.approx(1.5 * r, rel=1e-12)
+        assert region.minor == r
+        assert np.allclose(region.axis, [1.0, 0.0, 0.0], atol=1e-15)
 
     def test_zero_force_is_sphere(self):
-        axes = prolate_axes(0.7, np.zeros(3), CFG)
-        assert np.allclose(axes, 0.7)
+        r = rnn_radius(12, 3, math.inf, 1.0)
+        pts = [(0.3 * r, 0.0, 0.0), (0.0, -0.5 * r, 0.1 * r), (2.0 * r, 0.0, 0.0)]
+        region, _ = query_region(np.zeros(3), pts, [True, False, True], 0.0, 3)
+        assert region.axis is None
+        assert region.major == region.minor == r
 
     def test_cap(self):
         cfg = NeighborConfig(k=1.0, max_prolongation=3.0)
-        axes = prolate_axes(1.0, np.array([1e6, 0.0]), cfg)
-        assert axes[0] == 3.0
+        r = rnn_radius(12, 2, math.inf, 1.0)
+        region, _ = query_region(np.zeros(2), [(0.5 * r, 0.0)], [True], 1e3, 2, cfg)
+        assert region.major == 3.0 * r
 
 
 class TestInEllipse:
     def test_ball_case(self):
-        region = EllipsoidRegion(np.zeros(2), np.eye(2), np.array([1.0, 1.0]))
-        assert in_ellipse(np.zeros(2), np.array([0.5, 0.0]), region)
+        region = EllipsoidRegion(np.zeros(2), None, 1.0, 1.0)
+        assert region.contains_point(np.array([0.5, 0.0]))
 
     def test_boundary_excluded(self):
-        region = EllipsoidRegion(np.zeros(2), np.eye(2), np.array([2.0, 1.0]))
-        assert not in_ellipse(np.zeros(2), np.array([2.0, 0.0]), region)
+        region = EllipsoidRegion(np.zeros(2), np.array([1.0, 0.0]), 2.0, 1.0)
+        assert not region.contains_point(np.array([2.0, 0.0]))
 
     def test_rotated_frame(self):
         u1 = np.array([1.0, 1.0]) / math.sqrt(2.0)
         u2 = np.array([-1.0, 1.0]) / math.sqrt(2.0)
-        region = EllipsoidRegion(
-            np.array([0.2, 0.3]), np.column_stack([u1, u2]), np.array([2.0, 1.0])
-        )
         center = np.array([0.2, 0.3])
-        assert in_ellipse(center, center + 1.5 * u1, region)
-        assert not in_ellipse(center, center + 1.5 * u2, region)
+        region = EllipsoidRegion(center, u1, 2.0, 1.0)
+        assert region.contains_point(center + 1.5 * u1)
+        assert not region.contains_point(center + 1.5 * u2)
 
     def test_ball_equals_euclidean_predicate(self):
         rng = np.random.default_rng(9)
         r = 0.8
-        region = EllipsoidRegion(np.zeros(3), np.eye(3), np.full(3, r))
+        region = EllipsoidRegion(np.zeros(3), None, r, r)
         pts = rng.uniform(-1.5, 1.5, (10_000, 3))
         got = region.contains(pts)
         want = np.sqrt(np.sum(pts**2, axis=1)) < r
         assert np.array_equal(got, want)
 
-    def test_non_orthonormal_frame_rejected(self):
+    def test_malformed_radii_rejected(self):
         with pytest.raises(ValueError):
-            EllipsoidRegion(np.zeros(2), np.array([[1.0, 1.0], [0.0, 1.0]]), np.ones(2))
+            EllipsoidRegion(np.zeros(2), np.array([1.0, 0.0]), 0.5, 1.0)
+        with pytest.raises(ValueError):
+            EllipsoidRegion(np.zeros(2), None, 2.0, 1.0)
+        with pytest.raises(ValueError):
+            EllipsoidRegion(np.zeros(2), None, 0.0, 0.0)
+
+
+def oracle_form(center, axis, major, minor, points):
+    """Quadratic form of each point in the frame of oracles.gram_schmidt_columns."""
+    n = len(center)
+    if axis is None:
+        cols = [[1.0 if i == j else 0.0 for i in range(n)] for j in range(n)]
+    else:
+        cols = gram_schmidt_columns([float(v) for v in axis])
+    radii = [major] + [minor] * (n - 1)
+    out = []
+    for pt in points:
+        y = [float(pt[k]) - float(center[k]) for k in range(n)]
+        out.append(
+            sum((sum(y[k] * col[k] for k in range(n)) / a) ** 2 for a, col in zip(radii, cols))
+        )
+    return np.array(out)
+
+
+class TestRegionAgainstFrameOracle:
+    """The closed-form test against the quadratic form in a Gram-Schmidt frame."""
+
+    def regions(self, rng, n):
+        """Random regions, and the regions that random queries return."""
+        out = []
+        for _ in range(10):
+            r = float(rng.uniform(0.05, 0.5))
+            axis = rng.standard_normal(n)
+            axis /= np.linalg.norm(axis)
+            out.append(EllipsoidRegion(rng.uniform(0, 1, n), axis, r * rng.uniform(1, 3), r))
+        out.append(EllipsoidRegion(rng.uniform(0, 1, n), None, 0.3, 0.3))
+        while len(out) < 20:
+            x, pts, flags = random_fixture(rng, n, 40)
+            region, _ = query_region(x, pts, flags, float(rng.uniform(0.5, 1.9)), n, batch=20)
+            if region is not None:
+                out.append(region)
+        return out
+
+    @pytest.mark.parametrize("n", [2, 4, 8])
+    def test_contains_and_rewiring_test_match_oracle(self, n):
+        rng = np.random.default_rng(n)
+        for region in self.regions(rng, n):
+            for factor in (1.0, 1.2):
+                scaled = region.scaled(factor)
+                pts = region.center + rng.uniform(-1, 1, (400, n)) * 1.2 * scaled.major
+                form = oracle_form(
+                    scaled.center, scaled.axis, scaled.major, scaled.minor, pts
+                )
+                off_band = np.abs(form - 1.0) > 1e-9
+                assert off_band.sum() > 350
+                got = scaled.contains_offsets(pts - scaled.center)
+                assert np.array_equal(got[off_band], (form < 1.0)[off_band])
+                assert np.array_equal(scaled.contains(pts), got)
+
+    @pytest.mark.parametrize("n", [2, 4, 8])
+    def test_frame_is_the_oracle_frame(self, n):
+        rng = np.random.default_rng(10 + n)
+        for region in self.regions(rng, n):
+            frame = region.frame()
+            assert np.allclose(frame.T @ frame, np.eye(n), atol=1e-12)
+            if region.axis is None:
+                assert np.array_equal(frame, np.eye(n))
+                continue
+            want = np.array(gram_schmidt_columns([float(v) for v in region.axis])).T
+            assert np.allclose(frame, want, atol=1e-12)
+            # the frame's quadratic form gives the same membership
+            pts = region.center + rng.uniform(-1, 1, (400, n)) * 1.2 * region.major
+            local = (pts - region.center) @ frame
+            radii = np.full(n, region.minor)
+            radii[0] = region.major
+            form = np.sum((local / radii) ** 2, axis=1)
+            off_band = np.abs(form - 1.0) > 1e-9
+            assert np.array_equal(region.contains(pts)[off_band], (form < 1.0)[off_band])
 
 
 class TestEccentricity:
     def test_sphere(self):
-        region = EllipsoidRegion(np.zeros(2), np.eye(2), np.full(2, 0.4))
+        region = EllipsoidRegion(np.zeros(2), None, 0.4, 0.4)
         assert eccentricity(region, 0.4) == 0.0
 
     def test_frozen_2d_value(self):
-        region = EllipsoidRegion(np.zeros(2), np.eye(2), np.array([2.0, 1.0]))
+        region = EllipsoidRegion(np.zeros(2), np.array([1.0, 0.0]), 2.0, 1.0)
         # sqrt(1 - 1/sqrt(2)), frozen from direct evaluation
         assert eccentricity(region, 1.0) == pytest.approx(0.5411961001461971, abs=1e-12)
 
     def test_monotone_toward_sphere(self):
-        cfg = NeighborConfig(k=1.0)
+        # major radius r (1 + k |f|) with k = 1 and r = 1, as the query sets it
         vals = []
         for fnorm in (1.0, 0.5, 0.1, 0.01):
-            axes = prolate_axes(1.0, np.array([fnorm, 0.0]), cfg)
-            region = EllipsoidRegion(np.zeros(2), np.eye(2), axes)
+            region = EllipsoidRegion(np.zeros(2), np.array([1.0, 0.0]), 1.0 + fnorm, 1.0)
             vals.append(eccentricity(region, 1.0))
         assert all(b < a for a, b in zip(vals, vals[1:]))
         assert vals[-1] < 0.1
 
     def test_malformed_region_rejected(self):
-        region = EllipsoidRegion(np.zeros(2), np.eye(2), np.array([2.0, 1.0]))
+        region = EllipsoidRegion(np.zeros(2), np.array([1.0, 0.0]), 2.0, 1.0)
         with pytest.raises(ValueError):
             eccentricity(region, 1.5)
 
@@ -325,6 +421,141 @@ class TestEllipticalNearestNeighbors:
         assert all(line.split()[1:4] == ["8", "3", "0.375000000"] for line in lines)
         want = brute_elliptical_nn(tuple(x), list(zip(pts, flags)), 12, 2, CFG, 1.2)
         assert sorted(got) == sorted(want) == [0, 1, 2, 3, 4]
+
+
+def unit_vectors(rng, count, n):
+    v = rng.standard_normal((count, n))
+    return v / np.linalg.norm(v, axis=1)[:, None]
+
+
+class TestZeroChargeGather:
+    @pytest.mark.parametrize("n", [2, 4, 8])
+    def test_points_on_the_ball_boundary_match_oracle(self, n):
+        # zero charge gathers within r, not max_prolongation * r; points
+        # at r (1 +- 1e-12) sit on either side of the ball's boundary
+        rng = np.random.default_rng(20 + n)
+        batch = 30
+        r = rnn_radius(batch, n, math.inf, 1.0)
+        for _ in range(40):
+            x = rng.uniform(0.3, 0.7, n)
+            scales = np.concatenate([
+                np.full(6, 1.0 - 1e-12),
+                np.full(6, 1.0 + 1e-12),
+                rng.uniform(0.0, 1.0, 4),
+                rng.uniform(1.0, 3.0, 4),
+            ])
+            pts = x + r * scales[:, None] * unit_vectors(rng, scales.size, n)
+            flags = rng.random(scales.size) < 0.6
+            want = brute_elliptical_nn(
+                tuple(x), [(tuple(p), bool(v)) for p, v in zip(pts, flags)],
+                batch, n, CFG, 0.0,
+            )
+            got = elliptical_nn_indices(
+                x, samples_from(pts, flags), batch, n, CFG, lambda b: 0.0
+            )
+            got_kd, region, _ = elliptical_nn_query(
+                x, None, batch, n, CFG, lambda b: 0.0,
+                kdtree=cKDTree(pts), positions=pts, valid=flags,
+            )
+            assert sorted(got) == sorted(got_kd) == want
+            assert region.axis is None and region.major == region.minor == r
+
+    def test_nothing_within_r_still_counts_one_round(self):
+        # the region is empty, but a sample inside max_prolongation * r
+        # costs one round, as when candidates were gathered that far
+        x = np.zeros(2)
+        r = rnn_radius(12, 2, math.inf, 1.0)
+        for far, rounds in ((2.0, 1), (3.5, 0)):
+            stats = {}
+            got, region, _ = elliptical_nn_query(
+                x, samples_from([(far * r, 0.0)], [True]), 12, 2, CFG,
+                lambda b: 0.0, stats=stats,
+            )
+            assert got == []
+            assert stats.get("shrink_rounds", 0) == rounds
+            assert (region is None) == (rounds == 0)
+
+
+def settled_fixture(rng, n, batch):
+    """Valid samples in a narrow cone out to 2.6 r pull the region to its cap
+    along the cone; invalid samples inside the r-ball keep phi above the
+    threshold, and invalid samples off the cone drop out in early rounds."""
+    r = rnn_radius(batch, n, math.inf, 1.0)
+    x = np.full(n, 0.5)
+    u = unit_vectors(rng, 1, n)[0]
+    t = np.concatenate([rng.uniform(0.1, 0.3, 2), rng.uniform(0.3, 2.6, 8)])
+    cone = u + 0.3 / math.sqrt(n) * rng.standard_normal((10, n))
+    along = x + r * t[:, None] * cone
+    inner = x + r * rng.uniform(0.5, 0.9, (4, 1)) * unit_vectors(rng, 4, n)
+    off = x + r * rng.uniform(1.1, 2.5, (6, 1)) * unit_vectors(rng, 6, n)
+    pts = np.vstack([along, inner, off])
+    flags = np.array([True] * 10 + [False] * 10)
+    return x, pts, flags
+
+
+class TestSettledRounds:
+    @pytest.mark.parametrize("n", [2, 4, 8])
+    def test_matches_oracle_round_by_round(self, n):
+        rng = np.random.default_rng(30 + n)
+        batch = 30
+        fixtures = 40
+        settled = 0
+        for _ in range(fixtures):
+            x, pts, flags = settled_fixture(rng, n, batch)
+            charge = float(rng.uniform(1.2, 1.9))
+            stats = {}
+            trace = io.StringIO()
+            got = elliptical_nn_indices(
+                x, samples_from(pts, flags, charge), batch, n, CFG,
+                lambda b: charge, stats=stats, trace=trace,
+            )
+            want, rounds = brute_elliptical_nn(
+                tuple(x), [(tuple(p), bool(v)) for p, v in zip(pts, flags)],
+                batch, n, CFG, charge, with_rounds=True,
+            )
+            assert sorted(got) == want
+            assert stats["shrink_rounds"] == len(rounds)
+            lines = [line.split() for line in trace.getvalue().splitlines()]
+            assert [(int(a), int(b), int(c)) for a, b, c, *_ in lines] == [
+                (i + 1, total, invalid) for i, (total, invalid) in enumerate(rounds)
+            ]
+            settled += stats.get("settled", 0)
+        # the fixtures exist to exercise the certificate: most must fire it
+        assert settled > fixtures // 2
+
+
+    def test_projection_that_changes_sign_drops(self):
+        # offsets in units of r, from a random search: at some settled round
+        # a member's projection on the axis has opposite signs at that
+        # round's force and at the last force, so it leaves the region
+        # where the turning axis passes square to it, though both ends
+        # hold it; the certificate must not fire there
+        offsets = [
+            (1.4142550556929976, -0.7059676959650368),
+            (2.4199301172286196, -1.0086195275574006),
+            (2.278165444833726, -1.5912060976021185),
+            (-0.18814770041731874, -1.9500224233047958),
+            (2.797015760434552, -0.6083179944722903),
+            (0.8889083376394382, -0.4612628216330394),
+            (1.0819386315254254, -0.2538895347780804),
+            (-0.062319002448705176, -0.35420163596852505),
+            (0.14512502540092423, -0.6657460683925991),
+        ]
+        flags = [True] * 7 + [False] * 2
+        x = np.array([0.5, 0.5])
+        r = rnn_radius(30, 2, math.inf, 1.0)
+        pts = [tuple(x + r * np.array(o)) for o in offsets]
+        charge = 1.3340784915836539
+        stats = {}
+        got = elliptical_nn_indices(
+            x, samples_from(pts, flags, charge), 30, 2, CFG, lambda b: charge,
+            stats=stats,
+        )
+        want, rounds = brute_elliptical_nn(
+            tuple(x), list(zip(pts, flags)), 30, 2, CFG, charge, with_rounds=True
+        )
+        assert sorted(got) == want
+        assert stats["shrink_rounds"] == len(rounds)
 
 
 class TestChargedSample:

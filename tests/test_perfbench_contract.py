@@ -1,0 +1,50 @@
+"""The benchmark harness's contract with the program, one query per workload.
+
+``perfbench/run.py`` wraps names that the program's modules import (see
+``perfbench/layers.py``), reads ``PlannerRun`` fields, and prints its JSON
+result as the last line of standard output. A renamed name, a changed field
+or a stray print breaks that result. Each workload here plans one benchmark
+query the way a traced pass does.
+"""
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+if str(ROOT) not in sys.path:
+    sys.path.insert(0, str(ROOT))
+
+import oracles  # noqa: E402
+from perfbench import layers  # noqa: E402
+from perfbench.bench import run_pass  # noqa: E402
+from perfbench.checks import Checker, query_digest  # noqa: E402
+from perfbench.probe import Speedometer  # noqa: E402
+from perfbench.workloads import WORKLOADS, make_queries, scan_worlds  # noqa: E402
+
+from aptstar.planner import PLANNERS  # noqa: E402
+
+
+@pytest.fixture(scope="module")
+def setup():
+    speed = Speedometer()
+    worlds, _ = scan_worlds(oracles, speed)
+    return make_queries(worlds, 21), speed
+
+
+@pytest.mark.parametrize("name", sorted(WORKLOADS))
+def test_traced_query_keeps_the_contract(name, setup, capsys):
+    queries, speed = setup
+    workload = WORKLOADS[name]
+    query = queries[0]
+    tracer = layers.new_tracer()
+    capsys.readouterr()
+    with tracer.installed():
+        (outcome,) = run_pass(PLANNERS[workload.planner], workload, [query], speed, tracer)
+    assert capsys.readouterr().out == ""
+    assert outcome.error is None
+    assert tracer.absent == set()
+    metrics = layers.planning_metrics(tracer, [outcome.run], 1.0)
+    assert [key for key, value in metrics.items() if value is None] == []
+    assert Checker(oracles).check(query, outcome.run) == []
+    assert len(query_digest(query, outcome.run)) == 64

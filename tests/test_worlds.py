@@ -10,6 +10,7 @@ from aptstar.geometry import (
 from aptstar.worlds import (
     WorldSpec,
     canonical_start_goal,
+    free_cells,
     is_feasible,
     make_problem,
     make_world,
@@ -132,3 +133,37 @@ class TestFeasibility:
             (HyperRectangle([0.45, 0.0], [0.55, 1.0]),),
         )
         assert not is_feasible(world)
+
+
+class TestFreeCells:
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            WorldSpec("dividing_wall", 2, seed=0),
+            WorldSpec("dividing_wall", 4, seed=1),
+            WorldSpec("dividing_wall", 8, seed=2),
+            WorldSpec("random_rectangles", 2, seed=0),
+            WorldSpec(
+                "random_rectangles", 4, seed=1, obstacle_count=60, width_range=(0.25, 0.45)
+            ),
+        ],
+        ids=lambda spec: spec.world_id,
+    )
+    def test_equals_per_cell_predicate(self, spec):
+        world = make_world(spec)
+        grid = 64
+        want = np.zeros((grid, grid), dtype=bool)
+        probe = np.full(world.dimension, 0.5)
+        for i in range(grid):
+            probe[0] = (i + 0.5) / grid
+            for j in range(grid):
+                probe[1] = (j + 0.5) / grid
+                want[i, j] = is_state_valid(world, probe)
+        got = free_cells(world, grid)
+        assert 0 < want.sum() < grid * grid
+        assert np.array_equal(got, want)
+
+    def test_one_dimension(self):
+        world = make_world(WorldSpec("empty", 1))
+        got = free_cells(world, 16)
+        assert got.shape == (16,) and got.all()

@@ -35,7 +35,6 @@ from .neighbors import (
     NeighborConfig,
     coulomb_force,
     eccentricity,
-    elliptical_nearest_neighbors,
     rnn_radius,
 )
 from .planner import (

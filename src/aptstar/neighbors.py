@@ -354,31 +354,3 @@ def _region(
 ) -> EllipsoidRegion:
     """The region for the final force: its direction, the major radius and r."""
     return EllipsoidRegion(x, force / fnorm if fnorm > 0.0 else None, major, r)
-
-
-def elliptical_nn_indices(
-    x: State,
-    samples: Sequence[ChargedSample],
-    batch_size: int,
-    n: int,
-    config: NeighborConfig,
-    charge_fn: Callable[[int], float],
-    **kwargs,
-) -> list[int]:
-    """Indices (into samples) of the valid members of the final prolate region."""
-    idx, _, _ = elliptical_nn_query(x, samples, batch_size, n, config, charge_fn, **kwargs)
-    return idx
-
-
-def elliptical_nearest_neighbors(
-    x: State,
-    samples: Sequence[ChargedSample],
-    batch_size: int,
-    n: int,
-    config: NeighborConfig,
-    charge_fn: Callable[[int], float],
-    **kwargs,
-) -> list[ChargedSample]:
-    """Valid samples inside the force-prolated neighbor region around x."""
-    idx = elliptical_nn_indices(x, samples, batch_size, n, config, charge_fn, **kwargs)
-    return [samples[i] for i in idx]

@@ -82,6 +82,12 @@ class PlannerConfig:
             raise ValueError("goal_bias must be in [0, 1)")
         if not self.rewire_factor > 0.0:
             raise ValueError("rewire_factor must be positive")
+        if not self.eta >= 1.0:
+            raise ValueError("eta must be at least 1")
+        for name in ("motion_resolution", "max_edge_length"):
+            value = getattr(self, name)
+            if value is not None and not value > 0.0:
+                raise ValueError(f"{name} must be positive")
 
 
 @dataclass
@@ -135,20 +141,45 @@ class _Clock:
 
 
 class SearchTree:
-    """Rooted tree over states with cost-to-come bookkeeping."""
+    """Rooted tree over states with cost-to-come bookkeeping.
+
+    Besides the list of states, the tree keeps them as rows of a growable
+    (m, n) array that doubles when full, so ``positions`` is a slice, not a
+    re-stack. Rows are only appended, never rewritten: a k-d tree built on
+    ``positions`` stays valid while the tree grows.
+    """
 
     def __init__(self, root: State):
-        self.states: list[State] = [np.asarray(root, dtype=float)]
+        root = np.asarray(root, dtype=float)
+        self.states: list[State] = [root]
         self.parent: list[int] = [-1]
         self.g: list[float] = [0.0]
         self.children: list[list[int]] = [[]]
+        self._rows = np.empty((16, root.size))
+        self._rows[0] = root
 
     def __len__(self) -> int:
         return len(self.states)
 
+    @property
+    def positions(self) -> np.ndarray:
+        """The states as an (len(tree), n) array."""
+        return self._rows[: len(self.states)]
+
+    def distances(self, x: State) -> np.ndarray:
+        """Euclidean distance from x to every vertex."""
+        pts = self.positions
+        return np.sqrt(np.sum((pts - x) ** 2, axis=1))
+
     def add(self, state: State, parent: int, edge_cost: float) -> int:
         idx = len(self.states)
-        self.states.append(np.asarray(state, dtype=float))
+        state = np.asarray(state, dtype=float)
+        if idx == len(self._rows):
+            grown = np.empty((2 * idx, self._rows.shape[1]))
+            grown[:idx] = self._rows
+            self._rows = grown
+        self._rows[idx] = state
+        self.states.append(state)
         self.parent.append(parent)
         self.g.append(self.g[parent] + edge_cost)
         self.children.append([])
@@ -192,29 +223,6 @@ class SearchTree:
         return out
 
 
-class _Positions:
-    """Growable (m, n) array of states: rows are appended in place and the
-    storage doubles when full, so the filled rows are a slice, not a re-stack."""
-
-    def __init__(self, first: State):
-        self._rows = np.empty((16, first.size))
-        self._rows[0] = first
-        self.size = 1
-
-    def append(self, x: State) -> None:
-        if self.size == len(self._rows):
-            grown = np.empty((2 * self.size, self._rows.shape[1]))
-            grown[: self.size] = self._rows
-            self._rows = grown
-        self._rows[self.size] = x
-        self.size += 1
-
-    def distances(self, x: State) -> np.ndarray:
-        """Euclidean distance from x to every stored row."""
-        pts = self._rows[: self.size]
-        return np.sqrt(np.sum((pts - x) ** 2, axis=1))
-
-
 def extract_path(tree: SearchTree, goal_vertex: int) -> list[State]:
     """Root-to-goal state sequence for a connected goal vertex."""
     if not 0 <= goal_vertex < len(tree):
@@ -224,6 +232,14 @@ def extract_path(tree: SearchTree, goal_vertex: int) -> list[State]:
     if abs(total - tree.g[goal_vertex]) > 1e-9:
         raise RuntimeError("stored cost-to-come disagrees with the path")
     return path
+
+
+def _goal_distances(points: np.ndarray, goals: list[State]) -> np.ndarray:
+    """Distance from each row of points to its nearest goal."""
+    return np.min(
+        np.stack([np.sqrt(np.einsum("ij,ij->i", points - g, points - g)) for g in goals]),
+        axis=0,
+    )
 
 
 def _resolve_batch_config(config: PlannerConfig, n: int) -> BatchConfig:
@@ -326,22 +342,15 @@ def plan_apt(
             record_improvement()
 
     def prune() -> None:
-        nonlocal pool_states, pool_valid, best_goal
+        nonlocal tree, goal_vertex, pool_states, pool_valid
         if not math.isfinite(c_best):
             return
         # Invalid samples are pruned by the same informed-set rule as valid ones.
-        if pool_states:
-            arr = np.array(pool_states, dtype=float)
-            d_start = np.sqrt(np.einsum("ij,ij->i", arr - problem.start, arr - problem.start))
-            h_arr = np.min(
-                np.stack(
-                    [np.sqrt(np.einsum("ij,ij->i", arr - g, arr - g)) for g in goals]
-                ),
-                axis=0,
-            )
-            keep_pool = np.nonzero(d_start + h_arr < c_best)[0]
-            pool_states = [pool_states[i] for i in keep_pool]
-            pool_valid = [pool_valid[i] for i in keep_pool]
+        arr = np.array(pool_states, dtype=float).reshape(len(pool_states), n)
+        d_start = np.sqrt(np.einsum("ij,ij->i", arr - problem.start, arr - problem.start))
+        keep_pool = np.nonzero(d_start + _goal_distances(arr, goals) < c_best)[0]
+        pool_states = [pool_states[i] for i in keep_pool]
+        pool_valid = [pool_valid[i] for i in keep_pool]
 
         protected = set()
         if best_goal is not None:
@@ -375,12 +384,8 @@ def plan_apt(
                 new_goal_vertex[gi] = idx_map[v]
         pool_states.extend(recycled)
         pool_valid.extend([True] * len(recycled))
-        tree.states = new_tree.states
-        tree.parent = new_tree.parent
-        tree.g = new_tree.g
-        tree.children = new_tree.children
-        goal_vertex.clear()
-        goal_vertex.update(new_goal_vertex)
+        tree = new_tree
+        goal_vertex = new_goal_vertex
 
     max_batches = config.max_iterations if config.max_iterations is not None else 10**9
     counter = itertools.count()
@@ -417,31 +422,13 @@ def plan_apt(
 
         n_pool = len(pool_states)
         pool_pos = np.array(pool_states, dtype=float).reshape(n_pool, n)
-        tree_pos = np.array(tree.states, dtype=float).reshape(len(tree), n)
-        positions = np.vstack([pool_pos, tree_pos])
+        positions = np.vstack([pool_pos, tree.positions])
         valid_all = np.concatenate(
             [np.array(pool_valid, dtype=bool), np.ones(len(tree), dtype=bool)]
         )
         kdtree = cKDTree(positions)
-        tree_kd = cKDTree(tree_pos)
-        if n_pool:
-            h_pool = np.min(
-                np.stack(
-                    [
-                        np.sqrt(
-                            np.einsum(
-                                "ij,ij->i",
-                                positions[:n_pool] - g,
-                                positions[:n_pool] - g,
-                            )
-                        )
-                        for g in goals
-                    ]
-                ),
-                axis=0,
-            )
-        else:
-            h_pool = np.zeros(0)
+        tree_kd = cKDTree(tree.positions)
+        h_pool = _goal_distances(pool_pos, goals)
         informed_measure = (
             lebesgue_measure(c_best, c_min, n) if math.isfinite(c_best) else math.inf
         )
@@ -509,7 +496,7 @@ def plan_apt(
 
             # Rewiring candidates come from the same prolate region with both
             # radii scaled by rewire_factor, restricted to tree vertices.
-            if region is not None and tree_kd is not None:
+            if region is not None:
                 rewire_region = region.scaled(config.rewire_factor)
                 cand = np.array(
                     sorted(tree_kd.query_ball_point(xv, rewire_region.major)), dtype=int
@@ -595,33 +582,13 @@ def plan_rrt_connect(problem: ProblemInstance, config: PlannerConfig) -> Planner
     counters = {"samples": 0, "collision_checks": 0}
 
     goal = min(problem.goals, key=lambda g: distance(problem.start, g))
-    # nodes as (states list, parent list, positions); tree_a grows from the
-    # start side
-    trees = [
-        ([problem.start], [-1], _Positions(problem.start)),
-        ([goal], [-1], _Positions(goal)),
-    ]
+    # the first tree grows from the start side
+    trees = [SearchTree(problem.start), SearchTree(goal)]
     a_is_start = True
-
-    def nearest(tree, x):
-        return int(np.argmin(tree[2].distances(x)))
-
-    def extend(tree, x, parent):
-        tree[0].append(x)
-        tree[1].append(parent)
-        tree[2].append(x)
 
     def motion_ok(a, b):
         counters["collision_checks"] += 1
         return is_motion_valid(world, a, b, resolution)
-
-    def path_of(tree, idx):
-        out = []
-        while idx != -1:
-            out.append(tree[0][idx])
-            idx = tree[1][idx]
-        out.reverse()
-        return out
 
     max_iters = config.max_iterations if config.max_iterations is not None else 10**9
     for it in range(max_iters):
@@ -632,26 +599,24 @@ def plan_rrt_connect(problem: ProblemInstance, config: PlannerConfig) -> Planner
         counters["samples"] += 1
 
         ta, tb = trees
-        ia = nearest(ta, x_rand)
-        x_new = _steer(ta[0][ia], x_rand, max_edge)
-        if is_state_valid(world, x_new) and motion_ok(ta[0][ia], x_new):
-            extend(ta, x_new, ia)
+        ia = int(np.argmin(ta.distances(x_rand)))
+        x_new = _steer(ta.states[ia], x_rand, max_edge)
+        if is_state_valid(world, x_new) and motion_ok(ta.states[ia], x_new):
+            wa = ta.add(x_new, ia, _dist(ta.states[ia], x_new))
             # greedily connect the other tree toward x_new
-            ib = nearest(tb, x_new)
+            current = int(np.argmin(tb.distances(x_new)))
             reached = False
-            current = ib
             while True:
-                x_step = _steer(tb[0][current], x_new, max_edge)
-                if not (is_state_valid(world, x_step) and motion_ok(tb[0][current], x_step)):
+                x_step = _steer(tb.states[current], x_new, max_edge)
+                if not (is_state_valid(world, x_step) and motion_ok(tb.states[current], x_step)):
                     break
-                extend(tb, x_step, current)
-                current = len(tb[0]) - 1
+                current = tb.add(x_step, current, _dist(tb.states[current], x_step))
                 if distance(x_step, x_new) <= _EPS:
                     reached = True
                     break
             if reached:
-                pa = path_of(ta, len(ta[0]) - 1)
-                pb = path_of(tb, current)
+                pa = ta.path_to(wa)
+                pb = tb.path_to(current)
                 if a_is_start:
                     path = pa + pb[::-1][1:]
                 else:
@@ -684,7 +649,6 @@ def plan_informed_rrt_star(problem: ProblemInstance, config: PlannerConfig) -> P
     counters = {"samples": 0, "collision_checks": 0, "neighbor_queries": 0}
 
     tree = SearchTree(problem.start)
-    positions = _Positions(problem.start)
     goal_vertex: dict[int, int] = {}
     c_best = math.inf
     best_goal: int | None = None
@@ -692,10 +656,6 @@ def plan_informed_rrt_star(problem: ProblemInstance, config: PlannerConfig) -> P
     # an improvement clears the set and the next iteration rebuilds both
     informed: InformedSet | None = None
     informed_measure = math.inf
-
-    def add_vertex(state: State, parent: int, edge_cost: float) -> int:
-        positions.append(state)
-        return tree.add(state, parent, edge_cost)
 
     def motion_ok(a, b):
         counters["collision_checks"] += 1
@@ -732,11 +692,11 @@ def plan_informed_rrt_star(problem: ProblemInstance, config: PlannerConfig) -> P
         else:
             x_rand = sample_uniform(world.bounds, rng)
 
-        iv = int(np.argmin(positions.distances(x_rand)))
+        iv = int(np.argmin(tree.distances(x_rand)))
         x_new = _steer(tree.states[iv], x_rand, max_edge)
         if not is_state_valid(world, x_new):
             continue
-        d_new = positions.distances(x_new)
+        d_new = tree.distances(x_new)
         if float(np.min(d_new)) <= _EPS:
             continue
 
@@ -760,7 +720,7 @@ def plan_informed_rrt_star(problem: ProblemInstance, config: PlannerConfig) -> P
                 break
         if parent == -1:
             continue
-        w = add_vertex(x_new, parent, d_list[parent])
+        w = tree.add(x_new, parent, d_list[parent])
 
         for i in nbr_idx:
             if i == parent or i == 0:
@@ -785,7 +745,7 @@ def plan_informed_rrt_star(problem: ProblemInstance, config: PlannerConfig) -> P
                 continue
             if motion_ok(x_new, gstate):
                 if existing is None:
-                    goal_vertex[gi] = add_vertex(gstate, w, d)
+                    goal_vertex[gi] = tree.add(gstate, w, d)
                 else:
                     tree.reparent(existing, w, d)
         record_improvement()

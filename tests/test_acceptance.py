@@ -30,7 +30,7 @@ from aptstar.geometry import (
 from aptstar.neighbors import (
     ChargedSample,
     NeighborConfig,
-    elliptical_nn_indices,
+    elliptical_nn_query,
     rnn_radius,
 )
 from aptstar.planner import (
@@ -140,7 +140,7 @@ def test_criterion_03_ball_degeneration(capsys):
             samples = [
                 ChargedSample(p, bool(v), 0.0) for p, v in zip(pts, flags)
             ]
-            got = set(elliptical_nn_indices(x, samples, 30, n, cfg, lambda b: 0.0))
+            got = set(elliptical_nn_query(x, samples, 30, n, cfg, lambda b: 0.0)[0])
             want = {
                 i
                 for i in range(20)
@@ -169,7 +169,7 @@ def test_criterion_04_brute_force_equivalence(capsys):
         charge = float(rng.uniform(0.1, 1.9))
         batch = int(rng.integers(5, 60))
         samples = [ChargedSample(p, bool(v), charge) for p, v in zip(pts, flags)]
-        got = elliptical_nn_indices(x, samples, batch, 2, cfg, lambda b: charge)
+        got = elliptical_nn_query(x, samples, batch, 2, cfg, lambda b: charge)[0]
         want = brute_elliptical_nn(
             tuple(x),
             [(tuple(p), bool(v)) for p, v in zip(pts, flags)],

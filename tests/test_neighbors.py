@@ -14,8 +14,6 @@ from aptstar.neighbors import (
     NeighborConfig,
     coulomb_force,
     eccentricity,
-    elliptical_nearest_neighbors,
-    elliptical_nn_indices,
     elliptical_nn_query,
     rnn_radius,
 )
@@ -304,7 +302,10 @@ class TestEllipticalNearestNeighbors:
         x, pts, _ = random_fixture(rng, 2, 30)
         flags = np.ones(30, dtype=bool)
         samples = samples_from(pts, flags)
-        got = elliptical_nearest_neighbors(x, samples, 20, 2, CFG, lambda b: 1.0)
+        got = [
+            samples[i]
+            for i in elliptical_nn_query(x, samples, 20, 2, CFG, lambda b: 1.0)[0]
+        ]
         # single round: force from all-valid candidates, prolate region, done
         assert all(s.valid for s in got)
         assert all(any(s is t for t in samples) for s in got)
@@ -316,7 +317,7 @@ class TestEllipticalNearestNeighbors:
                 x, pts, flags = random_fixture(rng, n, 40)
                 samples = samples_from(pts, flags)
                 got = set(
-                    elliptical_nn_indices(x, samples, 30, n, CFG, lambda b: 0.0)
+                    elliptical_nn_query(x, samples, 30, n, CFG, lambda b: 0.0)[0]
                 )
                 r = rnn_radius(30, n, math.inf, 1.0)
                 want = {
@@ -331,7 +332,7 @@ class TestEllipticalNearestNeighbors:
         for _ in range(100):
             x, pts, flags = random_fixture(rng, 2, 50)
             samples = samples_from(pts, flags)
-            idx = elliptical_nn_indices(x, samples, 25, 2, CFG, lambda b: 1.0)
+            idx = elliptical_nn_query(x, samples, 25, 2, CFG, lambda b: 1.0)[0]
             assert all(flags[i] for i in idx)
             assert len(set(idx)) == len(idx)
 
@@ -342,7 +343,7 @@ class TestEllipticalNearestNeighbors:
         flags[:5] = True
         samples = samples_from(pts, flags)
         trace = io.StringIO()
-        elliptical_nn_indices(x, samples, 30, 2, CFG, lambda b: 1.5, trace=trace)
+        elliptical_nn_query(x, samples, 30, 2, CFG, lambda b: 1.5, trace=trace)
         lines = trace.getvalue().strip().splitlines()
         assert lines
         totals = [int(line.split()[1]) for line in lines]
@@ -352,7 +353,7 @@ class TestEllipticalNearestNeighbors:
             assert len(parts) == 6
 
     def test_empty_input(self):
-        assert elliptical_nn_indices(np.zeros(2), [], 10, 2, CFG, lambda b: 1.0) == []
+        assert elliptical_nn_query(np.zeros(2), [], 10, 2, CFG, lambda b: 1.0)[0] == []
 
     def test_hand_fixture_matches_oracle(self):
         # 4 valid samples on the free side, 2 invalid clustered on +x
@@ -367,7 +368,7 @@ class TestEllipticalNearestNeighbors:
         ]
         flags = [True, True, True, True, False, False]
         samples = samples_from(pts, flags, 1.5)
-        got = elliptical_nn_indices(x, samples, 12, 2, CFG, lambda b: 1.5)
+        got = elliptical_nn_query(x, samples, 12, 2, CFG, lambda b: 1.5)[0]
         want = brute_elliptical_nn(
             tuple(x), list(zip(pts, flags)), 12, 2, CFG, 1.5
         )
@@ -382,7 +383,7 @@ class TestEllipticalNearestNeighbors:
                 charge = float(rng.uniform(0.1, 1.9))
                 batch = int(rng.integers(5, 60))
                 samples = samples_from(pts, flags, charge)
-                got = elliptical_nn_indices(x, samples, batch, n, CFG, lambda b: charge)
+                got = elliptical_nn_query(x, samples, batch, n, CFG, lambda b: charge)[0]
                 want = brute_elliptical_nn(
                     tuple(x),
                     [(tuple(p), bool(v)) for p, v in zip(pts, flags)],
@@ -409,9 +410,9 @@ class TestEllipticalNearestNeighbors:
         samples = samples_from(pts, flags, 1.2)
         stats = {}
         trace = io.StringIO()
-        got = elliptical_nn_indices(
+        got = elliptical_nn_query(
             x, samples, 12, 2, CFG, lambda b: 1.2, stats=stats, trace=trace
-        )
+        )[0]
         lines = trace.getvalue().splitlines()
         assert stats["shrink_rounds"] == CFG.max_shrink_rounds
         assert len(lines) == CFG.max_shrink_rounds
@@ -450,9 +451,9 @@ class TestZeroChargeGather:
                 tuple(x), [(tuple(p), bool(v)) for p, v in zip(pts, flags)],
                 batch, n, CFG, 0.0,
             )
-            got = elliptical_nn_indices(
+            got = elliptical_nn_query(
                 x, samples_from(pts, flags), batch, n, CFG, lambda b: 0.0
-            )
+            )[0]
             got_kd, region, _ = elliptical_nn_query(
                 x, None, batch, n, CFG, lambda b: 0.0,
                 kdtree=cKDTree(pts), positions=pts, valid=flags,
@@ -505,10 +506,10 @@ class TestSettledRounds:
             charge = float(rng.uniform(1.2, 1.9))
             stats = {}
             trace = io.StringIO()
-            got = elliptical_nn_indices(
+            got = elliptical_nn_query(
                 x, samples_from(pts, flags, charge), batch, n, CFG,
                 lambda b: charge, stats=stats, trace=trace,
-            )
+            )[0]
             want, rounds = brute_elliptical_nn(
                 tuple(x), [(tuple(p), bool(v)) for p, v in zip(pts, flags)],
                 batch, n, CFG, charge, with_rounds=True,
@@ -547,10 +548,10 @@ class TestSettledRounds:
         pts = [tuple(x + r * np.array(o)) for o in offsets]
         charge = 1.3340784915836539
         stats = {}
-        got = elliptical_nn_indices(
+        got = elliptical_nn_query(
             x, samples_from(pts, flags, charge), 30, 2, CFG, lambda b: charge,
             stats=stats,
-        )
+        )[0]
         want, rounds = brute_elliptical_nn(
             tuple(x), list(zip(pts, flags)), 30, 2, CFG, charge, with_rounds=True
         )

@@ -4,8 +4,11 @@
 ``perfbench/layers.py``), reads ``PlannerRun`` fields, and prints its JSON
 result as the last line of standard output. A renamed name, a changed field
 or a stray print breaks that result. Each workload here plans one benchmark
-query the way a traced pass does.
+query the way a traced pass does, and one short run goes through ``run.py``
+end to end.
 """
+import json
+import subprocess
 import sys
 from pathlib import Path
 
@@ -48,3 +51,16 @@ def test_traced_query_keeps_the_contract(name, setup, capsys):
     assert [key for key, value in metrics.items() if value is None] == []
     assert Checker(oracles).check(query, outcome.run) == []
     assert len(query_digest(query, outcome.run)) == 64
+
+
+def test_benchmark_run_ends_with_its_json_result():
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", "bit", "--seed", "21",
+         "--seconds", "1", "--trace", "0"],
+        cwd=ROOT, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["correct"] is True
+    assert result["failed"] == 0
+    assert [k for k, m in result["metrics"].items() if m["value"] is None] == []

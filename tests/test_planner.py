@@ -63,6 +63,12 @@ class TestPlannerConfig:
             {"max_iterations": -3},
             {"max_iterations": 5, "rewire_factor": 0.0},
             {"max_iterations": 5, "rewire_factor": -1.2},
+            {"max_iterations": 5, "max_edge_length": -0.5},
+            {"max_iterations": 5, "max_edge_length": 0.0},
+            {"max_iterations": 5, "motion_resolution": 0.0},
+            {"max_iterations": 5, "motion_resolution": -0.01},
+            {"max_iterations": 5, "eta": 0.5},
+            {"max_iterations": 5, "eta": math.nan},
         ],
     )
     def test_invalid_settings_rejected(self, kwargs):
@@ -94,6 +100,16 @@ class TestPlannerConfig:
         assert code == 2
         assert "rewire_factor must be positive" in capsys.readouterr().err
 
+    def test_cli_exits_2_on_negative_edge_length(self, tmp_path, capsys):
+        world = tmp_path / "w.json"
+        main(["worldgen", "--family", "dw", "--dim", "2", "--out", str(world)])
+        config = tmp_path / "cfg.json"
+        config.write_text('{"max_edge_length": -0.5}')
+        code = main(["plan", "--world", str(world), "--planner", "rrt_connect",
+                     "--max-iters", "300", "--config", str(config)])
+        assert code == 2
+        assert "max_edge_length must be positive" in capsys.readouterr().err
+
 
 class TestSearchTree:
     def test_extract_root_only(self):
@@ -118,12 +134,34 @@ class TestSearchTree:
             state = rng.uniform(0, 1, 3)
             edge = float(np.linalg.norm(state - tree.states[parent]))
             tree.add(state, parent, edge)
+        self.assert_rows_match(tree, rng)
         for v in range(len(tree)):
             path = extract_path(tree, v)
             total = sum(
                 float(np.linalg.norm(b - a)) for a, b in zip(path, path[1:])
             )
             assert abs(total - tree.g[v]) < 1e-9
+        # vertex 60 was added after the row storage grew from 16 to 32 to 64
+        chain = [60]
+        while tree.parent[chain[-1]] != -1:
+            chain.append(tree.parent[chain[-1]])
+        assert np.array_equal(np.array(tree.path_to(60)), tree.positions[chain[::-1]])
+        leaf = next(v for v in range(1, len(tree)) if not tree.children[v])
+        new_parent = next(
+            v for v in range(len(tree)) if v != leaf and v != tree.parent[leaf]
+        )
+        tree.reparent(
+            leaf, new_parent,
+            float(np.linalg.norm(tree.states[leaf] - tree.states[new_parent])),
+        )
+        self.assert_rows_match(tree, rng)
+
+    @staticmethod
+    def assert_rows_match(tree, rng):
+        assert np.array_equal(tree.positions, np.array(tree.states))
+        x = rng.uniform(0, 1, 3)
+        want = np.linalg.norm(np.array(tree.states) - x, axis=1)
+        assert np.max(np.abs(tree.distances(x) - want)) < 1e-12
 
     def test_disconnected_goal_rejected(self):
         tree = SearchTree(np.zeros(2))

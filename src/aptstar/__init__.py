@@ -30,7 +30,6 @@ from .geometry import (
     unit_ball_volume,
 )
 from .neighbors import (
-    ChargedSample,
     EllipsoidRegion,
     NeighborConfig,
     coulomb_force,

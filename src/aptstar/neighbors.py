@@ -1,33 +1,21 @@
 """Force-based anisotropic nearest-neighbor search.
 
-Samples carry an electric charge; free-space samples attract and
-in-collision samples repel the query state. The resulting virtual force
-stretches the usual r-nearest-neighbor ball into a prolate ellipsoid whose
-major axis follows the force, and a shrink loop discards candidates until
-fewer than ``phi_threshold`` of the in-region samples are invalid.
+Every sample of a batch carries the charge set from that batch's size;
+free-space samples attract and in-collision samples repel the query state.
+The resulting virtual force stretches the usual r-nearest-neighbor ball
+into a prolate ellipsoid whose major axis follows the force, and a shrink
+loop discards candidates until fewer than ``phi_threshold`` of the
+in-region samples are invalid.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
 
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .geometry import State, as_state, orthonormal_basis, unit_ball_volume
-
-
-@dataclass(frozen=True)
-class ChargedSample:
-    state: State
-    valid: bool
-    charge: float = 1.0
-
-    def __post_init__(self):
-        object.__setattr__(self, "state", as_state(self.state))
-        if self.charge < 0.0:
-            raise ValueError("charge must be nonnegative")
+from .geometry import State, orthonormal_basis, unit_ball_volume
 
 
 @dataclass(frozen=True)
@@ -43,13 +31,18 @@ class NeighborConfig:
     max_prolongation: float = 3.0
 
     def __post_init__(self):
+        # "not x >= bound" also rejects NaN
+        if not 0.0 <= self.k_e < math.inf:
+            raise ValueError("k_e must be nonnegative and finite")
+        if not self.k >= 0.0:
+            raise ValueError("k must be nonnegative")
         if not 0.0 < self.phi_threshold <= 1.0:
             raise ValueError("phi_threshold must be in (0, 1]")
-        if self.min_pair_distance <= 0.0:
+        if not self.min_pair_distance > 0.0:
             raise ValueError("min_pair_distance must be positive")
-        if self.max_prolongation < 1.0:
+        if not self.max_prolongation >= 1.0:
             raise ValueError("max_prolongation must be at least 1")
-        if self.max_shrink_rounds < 1:
+        if not self.max_shrink_rounds >= 1:
             raise ValueError("max_shrink_rounds must be positive")
 
 
@@ -131,30 +124,36 @@ def rnn_radius(
     )
 
 
+def _weights(
+    diff: np.ndarray, ke_q2: float, config: NeighborConfig
+) -> tuple[np.ndarray, np.ndarray]:
+    """Squared lengths of the offsets diff and the force weight of each.
+
+    A sample at offset y with d = max(|y|, min_pair_distance) contributes
+    k_e q^2 / d^(n-1) along y / d, so its weight on y is k_e q^2 / d^n.
+    """
+    d2 = np.einsum("ij,ij->i", diff, diff)
+    d = np.maximum(np.sqrt(d2), config.min_pair_distance)
+    return d2, ke_q2 / d ** (diff.shape[1] - 1) / d
+
+
 def coulomb_force(
     x: State,
-    neighbors: Sequence[ChargedSample],
+    positions: np.ndarray,
+    valid: np.ndarray,
+    charge: float,
     config: NeighborConfig,
 ) -> np.ndarray:
-    """Total virtual Coulomb force on x from charged neighbor samples.
+    """Total virtual Coulomb force on x from samples of equal charge.
 
-    Valid neighbors pull toward themselves, invalid ones push away; each
-    contributes k_e * q^2 / r^(n-1) along the unit direction, with pair
-    distances clamped below by min_pair_distance.
+    Valid samples (rows of positions) pull toward themselves, invalid ones
+    push away; each contributes k_e * q^2 / d^(n-1) along the unit
+    direction, with pair distances clamped below by min_pair_distance.
     """
     x = np.asarray(x, dtype=float)
-    n = x.size
-    if not neighbors:
-        return np.zeros(n)
-    positions = np.array([s.state for s in neighbors], dtype=float)
-    charges = np.array([s.charge for s in neighbors], dtype=float)
-    signs = np.where([s.valid for s in neighbors], 1.0, -1.0)
-    diff = positions - x
-    dist = np.sqrt(np.sum(diff * diff, axis=1))
-    dist = np.maximum(dist, config.min_pair_distance)
-    unit = diff / dist[:, None]
-    magnitude = config.k_e * charges**2 / dist ** (n - 1)
-    return np.sum((signs * magnitude)[:, None] * unit, axis=0)
+    diff = np.asarray(positions, dtype=float) - x
+    _, weight = _weights(diff, config.k_e * charge * charge, config)
+    return np.where(valid, weight, -weight) @ diff
 
 
 def eccentricity(region: EllipsoidRegion, r: float) -> float:
@@ -172,69 +171,49 @@ def eccentricity(region: EllipsoidRegion, r: float) -> float:
 
 def elliptical_nn_query(
     x: State,
-    samples: Sequence[ChargedSample],
-    batch_size: int,
-    n: int,
+    kdtree: cKDTree,
+    valid: np.ndarray,
+    r: float,
     config: NeighborConfig,
-    charge_fn: Callable[[int], float],
+    charge: float,
     *,
-    informed_measure: float = math.inf,
-    bounds_measure: float = 1.0,
-    eta: float = 1.0,
-    radius_factor: float = 1.0,
-    kdtree: cKDTree | None = None,
-    positions: np.ndarray | None = None,
-    valid: np.ndarray | None = None,
-    trace=None,
     stats: dict | None = None,
-) -> tuple[list[int], EllipsoidRegion | None, float]:
-    """Core query: (valid member indices, final region, base radius).
+    trace=None,
+) -> tuple[list[int], EllipsoidRegion | None]:
+    """Core query: (indices of the valid members, final region).
 
-    Candidates start as the samples within max_prolongation * r of x (a
-    superset of anything the region can ever contain), or within r when the
-    charge is zero and the region can only be the r-ball; the virtual force
-    is accumulated over the surviving candidates each round and membership
-    retested until the invalid ratio drops below phi_threshold or the round
-    bound is hit. Invalid samples are stripped from the result. Callers with
-    precomputed position and validity arrays may pass samples as None.
+    The samples are the rows of ``kdtree.data`` with validity flags
+    ``valid`` (a bool array), all of charge ``charge``; r is the base
+    radius of the batch. Candidates start as the samples within
+    max_prolongation * r of x (a superset of anything the region can ever
+    contain), or within r when the charge is zero and the region can only
+    be the r-ball; the virtual force is accumulated over the surviving
+    candidates each round and membership retested until the invalid ratio
+    drops below phi_threshold or the round bound is hit. Invalid samples
+    are stripped from the result.
     """
     x = np.asarray(x, dtype=float)
-    if positions is None:
-        positions = np.array([s.state for s in samples], dtype=float).reshape(
-            len(samples), n
-        )
-    r = radius_factor * rnn_radius(batch_size, n, informed_measure, bounds_measure, eta)
+    n = x.size
     # the cap on the major radius, so no region reaches farther
     cap = r * config.max_prolongation
-    if len(positions) == 0:
-        return [], None, r
-    q = float(charge_fn(batch_size))
-    ke_q2 = config.k_e * q * q
+    ke_q2 = config.k_e * charge * charge
     if ke_q2 == 0.0:
         # the force stays zero, so the region is the r-ball; the margin keeps
         # points the ball test admits inside the index's distance cut
-        cand = _gather(x, r * (1.0 + 1e-9), kdtree, positions)
+        cand = _gather(x, r * (1.0 + 1e-9), kdtree)
         if cand.size == 0:
             # whether anything lies within the cap still decides between no
             # round and one empty round
-            cand = _gather(x, cap, kdtree, positions)
+            cand = _gather(x, cap, kdtree)
     else:
-        cand = _gather(x, cap, kdtree, positions)
+        cand = _gather(x, cap, kdtree)
     if cand.size == 0:
-        return [], None, r
-    if valid is not None:
-        valid_flags = valid[cand]
-    else:
-        valid_flags = np.fromiter(
-            (samples[i].valid for i in cand), dtype=bool, count=cand.size
-        )
+        return [], None
+    valid_flags = valid[cand]
     # per-candidate geometry is invariant across rounds (candidates only
-    # shrink), so compute distances, magnitudes, and weights once
-    diff = positions[cand] - x
-    d2 = np.einsum("ij,ij->i", diff, diff)
-    d = np.maximum(np.sqrt(d2), config.min_pair_distance)
-    mag = ke_q2 / d ** (n - 1)
-    weight = mag / d
+    # shrink), so compute distances and weights once
+    diff = kdtree.data[cand] - x
+    d2, weight = _weights(diff, ke_q2, config)
     r2 = r * r
     # Every region contains the open r-ball, so once all candidates lie
     # inside it (with a margin for rounding in the membership test) no later
@@ -271,7 +250,7 @@ def elliptical_nn_query(
             if n_inside == 0:
                 if trace is not None:
                     trace.write(f"{rounds} 0 0 nan {fnorm:.9e} {major / r:.9f}\n")
-                return [], _region(x, force, fnorm, major, r), r
+                return [], _region(x, force, fnorm, major, r)
             if n_inside < n_total:
                 cand = cand[inside]
                 valid_flags = valid_flags[inside]
@@ -305,17 +284,12 @@ def elliptical_nn_query(
             # zero charge leaves the force at zero forever, so the region
             # and its membership are already at their fixed point
             break
-    return cand[valid_flags].tolist(), _region(x, force, fnorm, major, r), r
+    return cand[valid_flags].tolist(), _region(x, force, fnorm, major, r)
 
 
-def _gather(
-    x: State, reach: float, kdtree: cKDTree | None, positions: np.ndarray
-) -> np.ndarray:
-    """Sorted indices of the positions within reach of x."""
-    if kdtree is not None:
-        return np.sort(np.asarray(kdtree.query_ball_point(x, reach), dtype=int))
-    dist = np.sqrt(np.einsum("ij,ij->i", positions - x, positions - x))
-    return np.nonzero(dist <= reach)[0]
+def _gather(x: State, reach: float, kdtree: cKDTree) -> np.ndarray:
+    """Sorted indices of the indexed points within reach of x."""
+    return np.sort(np.asarray(kdtree.query_ball_point(x, reach), dtype=int))
 
 
 def _settled(

@@ -252,10 +252,7 @@ def plan_apt(
     problem: ProblemInstance,
     config: PlannerConfig,
     *,
-    adaptive_batch: bool = True,
-    use_charge: bool = True,
-    fixed_batch: int | None = None,
-    planner_name: str = "apt",
+    adaptive: bool = True,
 ) -> PlannerRun:
     """Batch-wise informed planner with adaptive batches and prolated neighbors.
 
@@ -267,8 +264,8 @@ def plan_apt(
     cost-to-come plus goal distance could still improve the solution, and
     improvements trigger informed pruning of samples and vertices.
 
-    The two adaptive modules can be disabled to obtain the fixed-batch
-    isotropic ablation used as a baseline.
+    With adaptive=False every batch has m_default samples and zero charge,
+    so every region is the r-ball: the fixed-batch isotropic ablation.
     """
     world = problem.world
     n = world.dimension
@@ -281,7 +278,7 @@ def plan_apt(
     c_min = problem.c_min
     goals = list(problem.goals)
 
-    run = PlannerRun(planner=planner_name)
+    run = PlannerRun(planner="apt" if adaptive else "bit")
     counters = {
         "samples": 0,
         "collision_checks": 0,
@@ -389,7 +386,6 @@ def plan_apt(
 
     max_batches = config.max_iterations if config.max_iterations is not None else 10**9
     counter = itertools.count()
-    first_batch = fixed_batch if fixed_batch is not None else batch_cfg.m_default
 
     try_goal(0)
 
@@ -400,15 +396,13 @@ def plan_apt(
         if c_best <= c_min + _EPS:
             break
 
-        if math.isfinite(c_best) and adaptive_batch:
+        if math.isfinite(c_best) and adaptive:
             batch = adapt_batch_size(
                 batch_state.c_last, c_best, c_min, n, batch_cfg, batch_state
             )
         else:
-            batch = first_batch
-        charge = (
-            vertex_charge(batch, config.charge, batch_cfg) if use_charge else 0.0
-        )
+            batch = batch_cfg.m_default
+        charge = vertex_charge(batch, config.charge, batch_cfg) if adaptive else 0.0
         counters["batches"] += 1
 
         focus = goals[best_goal] if best_goal is not None else min(
@@ -432,6 +426,7 @@ def plan_apt(
         informed_measure = (
             lebesgue_measure(c_best, c_min, n) if math.isfinite(c_best) else math.inf
         )
+        r = rnn_radius(batch, n, informed_measure, bounds_measure, config.eta)
         connected_pool: set[int] = set()
 
         heap: list[tuple[float, int, int]] = []
@@ -455,20 +450,8 @@ def plan_apt(
             xv = tree.states[v]
 
             counters["neighbor_queries"] += 1
-            nbrs, region, _ = elliptical_nn_query(
-                xv,
-                None,
-                batch,
-                n,
-                config.neighbor,
-                lambda _b: charge,
-                informed_measure=informed_measure,
-                bounds_measure=bounds_measure,
-                eta=config.eta,
-                kdtree=kdtree,
-                positions=positions,
-                valid=valid_all,
-                stats=nn_stats,
+            nbrs, region = elliptical_nn_query(
+                xv, kdtree, valid_all, r, config.neighbor, charge, stats=nn_stats
             )
             cand_ids = [i for i in nbrs if i < n_pool and i not in connected_pool]
             if cand_ids:
@@ -534,7 +517,6 @@ def plan_apt(
             pool_valid = [
                 v for i, v in enumerate(pool_valid) if i not in connected_pool
             ]
-        counters["shrink_rounds"] = nn_stats.get("shrink_rounds", 0)
         prune()
         if budget_hit:
             break
@@ -552,15 +534,7 @@ def plan_batch_informed_trees(
 ) -> PlannerRun:
     """Fixed-batch isotropic ablation: the same skeleton with both adaptive
     modules disabled (constant batch size, zero charge, spherical regions)."""
-    batch_cfg = _resolve_batch_config(config, problem.world.dimension)
-    return plan_apt(
-        problem,
-        config,
-        adaptive_batch=False,
-        use_charge=False,
-        fixed_batch=batch_cfg.m_default,
-        planner_name="bit",
-    )
+    return plan_apt(problem, config, adaptive=False)
 
 
 def _steer(a: State, b: State, max_edge: float) -> State:

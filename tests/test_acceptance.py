@@ -10,6 +10,7 @@ import time
 
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
 from aptstar.adaptive import (
     BatchConfig,
@@ -28,7 +29,6 @@ from aptstar.geometry import (
     lebesgue_measure,
 )
 from aptstar.neighbors import (
-    ChargedSample,
     NeighborConfig,
     elliptical_nn_query,
     rnn_radius,
@@ -137,10 +137,7 @@ def test_criterion_03_ball_degeneration(capsys):
             pts = rng.uniform(0.0, 1.0, (20, n))
             flags = rng.random(20) < 0.7
             x = rng.uniform(0.2, 0.8, n)
-            samples = [
-                ChargedSample(p, bool(v), 0.0) for p, v in zip(pts, flags)
-            ]
-            got = set(elliptical_nn_query(x, samples, 30, n, cfg, lambda b: 0.0)[0])
+            got = set(elliptical_nn_query(x, cKDTree(pts), flags, r, cfg, 0.0)[0])
             want = {
                 i
                 for i in range(20)
@@ -168,8 +165,8 @@ def test_criterion_04_brute_force_equivalence(capsys):
         x = rng.uniform(0.2, 0.8, 2)
         charge = float(rng.uniform(0.1, 1.9))
         batch = int(rng.integers(5, 60))
-        samples = [ChargedSample(p, bool(v), charge) for p, v in zip(pts, flags)]
-        got = elliptical_nn_query(x, samples, batch, 2, cfg, lambda b: charge)[0]
+        r = rnn_radius(batch, 2, math.inf, 1.0)
+        got = elliptical_nn_query(x, cKDTree(pts), flags, r, cfg, charge)[0]
         want = brute_elliptical_nn(
             tuple(x),
             [(tuple(p), bool(v)) for p, v in zip(pts, flags)],

@@ -7,9 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
+from aptstar.cli import main
 from aptstar.geometry import orthonormal_basis
 from aptstar.neighbors import (
-    ChargedSample,
     EllipsoidRegion,
     NeighborConfig,
     coulomb_force,
@@ -24,11 +24,19 @@ from oracles import brute_elliptical_nn, gram_schmidt_columns
 CFG = NeighborConfig()
 
 
-def samples_from(points, valid_flags, charge=1.0):
-    return [
-        ChargedSample(np.asarray(p, dtype=float), bool(v), charge)
-        for p, v in zip(points, valid_flags)
-    ]
+def query(x, pts, flags, batch, charge, cfg=CFG, **kwargs):
+    """elliptical_nn_query over the points, with the base radius of a batch
+    in the unit cube."""
+    pts = np.asarray(pts, dtype=float)
+    return elliptical_nn_query(
+        np.asarray(x, dtype=float),
+        cKDTree(pts.reshape(len(pts), len(x))),
+        np.asarray(flags, dtype=bool),
+        rnn_radius(batch, len(x), math.inf, 1.0),
+        cfg,
+        charge,
+        **kwargs,
+    )
 
 
 class TestRnnRadius:
@@ -57,29 +65,25 @@ class TestRnnRadius:
 
 class TestCoulombForce:
     def test_single_attractor(self):
-        f = coulomb_force(
-            np.array([0.0, 0.0]), samples_from([(1, 0)], [True]), CFG
-        )
+        f = coulomb_force(np.array([0.0, 0.0]), [(1, 0)], [True], 1.0, CFG)
         assert np.allclose(f, [1.0, 0.0], atol=1e-15)
 
     def test_attractor_plus_repulsor(self):
         f = coulomb_force(
-            np.array([0.0, 0.0]),
-            samples_from([(1, 0), (0, 2)], [True, False]),
-            CFG,
+            np.array([0.0, 0.0]), [(1, 0), (0, 2)], [True, False], 1.0, CFG
         )
         assert np.allclose(f, [1.0, -0.5], atol=1e-15)
 
     def test_symmetric_cancellation(self):
         f = coulomb_force(
-            np.array([0.0, 0.0]),
-            samples_from([(1, 0), (-1, 0)], [True, True]),
-            CFG,
+            np.array([0.0, 0.0]), [(1, 0), (-1, 0)], [True, True], 1.0, CFG
         )
         assert np.allclose(f, [0.0, 0.0], atol=1e-15)
 
     def test_empty_neighbors(self):
-        assert np.array_equal(coulomb_force(np.zeros(3), [], CFG), np.zeros(3))
+        assert np.array_equal(
+            coulomb_force(np.zeros(3), np.zeros((0, 3)), [], 1.0, CFG), np.zeros(3)
+        )
 
     def test_magnitude_law(self):
         # one neighbor at distance r: ||F|| = k_e q^2 / r^(n-1) exactly
@@ -88,7 +92,7 @@ class TestCoulombForce:
                 x = np.zeros(n)
                 p = np.zeros(n)
                 p[0] = r
-                f = coulomb_force(x, [ChargedSample(p, True, 1.3)], CFG)
+                f = coulomb_force(x, [p], [True], 1.3, CFG)
                 assert np.linalg.norm(f) == pytest.approx(
                     CFG.k_e * 1.3**2 / r ** (n - 1), rel=1e-12
                 )
@@ -102,25 +106,20 @@ class TestCoulombForce:
         x = rng.uniform(-1, 1, n)
         pts = rng.uniform(-1, 1, (6, n))
         flags = rng.random(6) < 0.5
-        nbrs = samples_from(pts, flags)
-        nbrs_rot = samples_from(pts @ rot.T, flags)
-        f = coulomb_force(x, nbrs, CFG)
-        f_rot = coulomb_force(rot @ x, nbrs_rot, CFG)
+        f = coulomb_force(x, pts, flags, 1.0, CFG)
+        f_rot = coulomb_force(rot @ x, pts @ rot.T, flags, 1.0, CFG)
         assert np.allclose(f_rot, rot @ f, atol=1e-9 * max(1.0, np.linalg.norm(f)))
 
     def test_coincident_sample_clamped(self):
         x = np.array([0.0, 0.0])
-        f = coulomb_force(x, samples_from([(0.0, 0.0)], [True]), CFG)
+        f = coulomb_force(x, [(0.0, 0.0)], [True], 1.0, CFG)
         assert np.all(np.isfinite(f))
 
 
 def query_region(x, pts, flags, charge, n, cfg=CFG, batch=12):
     """The region and base radius of one query with a constant charge."""
-    samples = samples_from(pts, flags, charge)
-    _, region, r = elliptical_nn_query(
-        np.asarray(x, dtype=float), samples, batch, n, cfg, lambda b: charge
-    )
-    return region, r
+    _, region = query(x, pts, flags, batch, charge, cfg)
+    return region, rnn_radius(batch, n, math.inf, 1.0)
 
 
 class TestFrameAndAxes:
@@ -301,24 +300,18 @@ class TestEllipticalNearestNeighbors:
         rng = np.random.default_rng(0)
         x, pts, _ = random_fixture(rng, 2, 30)
         flags = np.ones(30, dtype=bool)
-        samples = samples_from(pts, flags)
-        got = [
-            samples[i]
-            for i in elliptical_nn_query(x, samples, 20, 2, CFG, lambda b: 1.0)[0]
-        ]
+        got = query(x, pts, flags, 20, 1.0)[0]
         # single round: force from all-valid candidates, prolate region, done
-        assert all(s.valid for s in got)
-        assert all(any(s is t for t in samples) for s in got)
+        assert all(flags[i] for i in got)
+        assert all(0 <= i < 30 for i in got)
+        assert len(set(got)) == len(got)
 
     def test_zero_charge_is_isotropic(self):
         rng = np.random.default_rng(1)
         for n in (2, 4):
             for _ in range(200):
                 x, pts, flags = random_fixture(rng, n, 40)
-                samples = samples_from(pts, flags)
-                got = set(
-                    elliptical_nn_query(x, samples, 30, n, CFG, lambda b: 0.0)[0]
-                )
+                got = set(query(x, pts, flags, 30, 0.0)[0])
                 r = rnn_radius(30, n, math.inf, 1.0)
                 want = {
                     i
@@ -331,8 +324,7 @@ class TestEllipticalNearestNeighbors:
         rng = np.random.default_rng(2)
         for _ in range(100):
             x, pts, flags = random_fixture(rng, 2, 50)
-            samples = samples_from(pts, flags)
-            idx = elliptical_nn_query(x, samples, 25, 2, CFG, lambda b: 1.0)[0]
+            idx = query(x, pts, flags, 25, 1.0)[0]
             assert all(flags[i] for i in idx)
             assert len(set(idx)) == len(idx)
 
@@ -341,9 +333,8 @@ class TestEllipticalNearestNeighbors:
         x, pts, flags = random_fixture(rng, 2, 50)
         flags[:] = False
         flags[:5] = True
-        samples = samples_from(pts, flags)
         trace = io.StringIO()
-        elliptical_nn_query(x, samples, 30, 2, CFG, lambda b: 1.5, trace=trace)
+        query(x, pts, flags, 30, 1.5, trace=trace)
         lines = trace.getvalue().strip().splitlines()
         assert lines
         totals = [int(line.split()[1]) for line in lines]
@@ -353,7 +344,7 @@ class TestEllipticalNearestNeighbors:
             assert len(parts) == 6
 
     def test_empty_input(self):
-        assert elliptical_nn_query(np.zeros(2), [], 10, 2, CFG, lambda b: 1.0)[0] == []
+        assert query(np.zeros(2), np.zeros((0, 2)), [], 10, 1.0)[0] == []
 
     def test_hand_fixture_matches_oracle(self):
         # 4 valid samples on the free side, 2 invalid clustered on +x
@@ -367,8 +358,7 @@ class TestEllipticalNearestNeighbors:
             (0.6, 0.56),
         ]
         flags = [True, True, True, True, False, False]
-        samples = samples_from(pts, flags, 1.5)
-        got = elliptical_nn_query(x, samples, 12, 2, CFG, lambda b: 1.5)[0]
+        got = query(x, pts, flags, 12, 1.5)[0]
         want = brute_elliptical_nn(
             tuple(x), list(zip(pts, flags)), 12, 2, CFG, 1.5
         )
@@ -382,8 +372,7 @@ class TestEllipticalNearestNeighbors:
                 x, pts, flags = random_fixture(rng, n, count)
                 charge = float(rng.uniform(0.1, 1.9))
                 batch = int(rng.integers(5, 60))
-                samples = samples_from(pts, flags, charge)
-                got = elliptical_nn_query(x, samples, batch, n, CFG, lambda b: charge)[0]
+                got = query(x, pts, flags, batch, charge)[0]
                 want = brute_elliptical_nn(
                     tuple(x),
                     [(tuple(p), bool(v)) for p, v in zip(pts, flags)],
@@ -407,12 +396,9 @@ class TestEllipticalNearestNeighbors:
         ]
         flags = [True] * 5 + [False] * 4
         pts = [tuple(x + r * np.array(o)) for o in offsets]
-        samples = samples_from(pts, flags, 1.2)
         stats = {}
         trace = io.StringIO()
-        got = elliptical_nn_query(
-            x, samples, 12, 2, CFG, lambda b: 1.2, stats=stats, trace=trace
-        )[0]
+        got = query(x, pts, flags, 12, 1.2, stats=stats, trace=trace)[0]
         lines = trace.getvalue().splitlines()
         assert stats["shrink_rounds"] == CFG.max_shrink_rounds
         assert len(lines) == CFG.max_shrink_rounds
@@ -422,6 +408,26 @@ class TestEllipticalNearestNeighbors:
         assert all(line.split()[1:4] == ["8", "3", "0.375000000"] for line in lines)
         want = brute_elliptical_nn(tuple(x), list(zip(pts, flags)), 12, 2, CFG, 1.2)
         assert sorted(got) == sorted(want) == [0, 1, 2, 3, 4]
+
+
+    def test_first_round_force_is_coulomb_force(self):
+        # the loop's first force is coulomb_force over the candidates that
+        # max_prolongation * r gathers
+        rng = np.random.default_rng(6)
+        for _ in range(200):
+            n = int(rng.integers(2, 9))
+            count = int(rng.integers(3, 51))
+            x, pts, flags = random_fixture(rng, n, count)
+            charge = float(rng.uniform(0.1, 1.9))
+            batch = int(rng.integers(5, 60))
+            trace = io.StringIO()
+            query(x, pts, flags, batch, charge, trace=trace)
+            reach = CFG.max_prolongation * rnn_radius(batch, n, math.inf, 1.0)
+            near = np.linalg.norm(pts - x, axis=1) <= reach
+            assert near.any()
+            force = coulomb_force(x, pts[near], flags[near], charge, CFG)
+            first = trace.getvalue().splitlines()[0].split()
+            assert first[4] == f"{np.linalg.norm(force):.9e}"
 
 
 def unit_vectors(rng, count, n):
@@ -451,14 +457,8 @@ class TestZeroChargeGather:
                 tuple(x), [(tuple(p), bool(v)) for p, v in zip(pts, flags)],
                 batch, n, CFG, 0.0,
             )
-            got = elliptical_nn_query(
-                x, samples_from(pts, flags), batch, n, CFG, lambda b: 0.0
-            )[0]
-            got_kd, region, _ = elliptical_nn_query(
-                x, None, batch, n, CFG, lambda b: 0.0,
-                kdtree=cKDTree(pts), positions=pts, valid=flags,
-            )
-            assert sorted(got) == sorted(got_kd) == want
+            got, region = query(x, pts, flags, batch, 0.0)
+            assert sorted(got) == want
             assert region.axis is None and region.major == region.minor == r
 
     def test_nothing_within_r_still_counts_one_round(self):
@@ -468,10 +468,7 @@ class TestZeroChargeGather:
         r = rnn_radius(12, 2, math.inf, 1.0)
         for far, rounds in ((2.0, 1), (3.5, 0)):
             stats = {}
-            got, region, _ = elliptical_nn_query(
-                x, samples_from([(far * r, 0.0)], [True]), 12, 2, CFG,
-                lambda b: 0.0, stats=stats,
-            )
+            got, region = query(x, [(far * r, 0.0)], [True], 12, 0.0, stats=stats)
             assert got == []
             assert stats.get("shrink_rounds", 0) == rounds
             assert (region is None) == (rounds == 0)
@@ -506,10 +503,7 @@ class TestSettledRounds:
             charge = float(rng.uniform(1.2, 1.9))
             stats = {}
             trace = io.StringIO()
-            got = elliptical_nn_query(
-                x, samples_from(pts, flags, charge), batch, n, CFG,
-                lambda b: charge, stats=stats, trace=trace,
-            )[0]
+            got = query(x, pts, flags, batch, charge, stats=stats, trace=trace)[0]
             want, rounds = brute_elliptical_nn(
                 tuple(x), [(tuple(p), bool(v)) for p, v in zip(pts, flags)],
                 batch, n, CFG, charge, with_rounds=True,
@@ -548,21 +542,12 @@ class TestSettledRounds:
         pts = [tuple(x + r * np.array(o)) for o in offsets]
         charge = 1.3340784915836539
         stats = {}
-        got = elliptical_nn_query(
-            x, samples_from(pts, flags, charge), 30, 2, CFG, lambda b: charge,
-            stats=stats,
-        )[0]
+        got = query(x, pts, flags, 30, charge, stats=stats)[0]
         want, rounds = brute_elliptical_nn(
             tuple(x), list(zip(pts, flags)), 30, 2, CFG, charge, with_rounds=True
         )
         assert sorted(got) == want
         assert stats["shrink_rounds"] == len(rounds)
-
-
-class TestChargedSample:
-    def test_negative_charge_rejected(self):
-        with pytest.raises(ValueError):
-            ChargedSample(np.zeros(2), True, -0.1)
 
 
 class TestNeighborConfig:
@@ -573,3 +558,32 @@ class TestNeighborConfig:
             NeighborConfig(min_pair_distance=0.0)
         with pytest.raises(ValueError):
             NeighborConfig(max_prolongation=0.5)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("k", -0.5),
+            ("k_e", -1.0),
+            ("k", math.nan),
+            ("k_e", math.nan),
+            ("k_e", math.inf),
+            ("phi_threshold", math.nan),
+            ("max_shrink_rounds", 0),
+            ("max_shrink_rounds", math.nan),
+            ("min_pair_distance", math.nan),
+            ("max_prolongation", math.nan),
+        ],
+    )
+    def test_bad_value_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            NeighborConfig(**{field: value})
+
+    def test_cli_exits_2_on_negative_k(self, tmp_path, capsys):
+        world = tmp_path / "w.json"
+        main(["worldgen", "--family", "dw", "--dim", "2", "--out", str(world)])
+        config = tmp_path / "cfg.json"
+        config.write_text('{"neighbor.k": -0.5}')
+        code = main(["plan", "--world", str(world), "--planner", "apt",
+                     "--max-iters", "3", "--config", str(config)])
+        assert code == 2
+        assert "k must be nonnegative" in capsys.readouterr().err

@@ -253,9 +253,7 @@ class TestAblationIdentity:
     def test_apt_with_modules_disabled_equals_bit(self):
         cfg = PlannerConfig(max_iterations=5, rng_seed=11)
         prob = make_problem(DW_OFFSET)
-        a = plan_apt(
-            prob, cfg, adaptive_batch=False, use_charge=False, fixed_batch=100
-        )
+        a = plan_apt(prob, cfg, adaptive=False)
         b = plan_batch_informed_trees(prob, cfg)
         assert a.events == b.events
         assert a.counters == b.counters

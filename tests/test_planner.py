@@ -342,6 +342,8 @@ GOLDEN_PROBLEMS = {
         [0.05, 0.5, 0.5, 0.5],
         ([0.95, 0.5, 0.5, 0.5],),
     ),
+    # two goals: the far one, below the gap, is the cheaper to reach
+    "w2g2": ProblemInstance(DW_OFFSET, [0.05, 0.5], ([0.95, 0.5], [0.95, 0.1])),
 }
 GOLDEN_BUDGETS = {"apt": 3, "bit": 3, "rrt_connect": 300, "informed_rrt_star": 400}
 # (world, planner, seed) -> (events, counters) of seeded iteration-budget runs,
@@ -578,6 +580,136 @@ GOLDEN_RUNS = {
         ],
         {"samples": 86, "collision_checks": 118},
     ),
+    ("w2g2", "apt", 1): (
+        [
+            (0.0, 1.044642305945947),
+            (0.0, 0.9986977379402028),
+            (0.0, 0.99116768709282),
+            (0.0, 0.9875909434082757),
+            (1.0, 0.9869252236764887),
+            (1.0, 0.9862460953801352),
+            (1.0, 0.9860556980158816),
+            (2.0, 0.9860328988255295),
+            (2.0, 0.9859107172656498),
+            (2.0, 0.985822996119537),
+            (2.0, 0.9858140407025267),
+            (2.0, 0.9858087677079561),
+            (2.0, 0.9857935604124425),
+        ],
+        {
+            "samples": 496,
+            "collision_checks": 1951,
+            "neighbor_queries": 291,
+            "shrink_rounds": 1602,
+            "batches": 3,
+        },
+    ),
+    ("w2g2", "apt", 2): (
+        [
+            (0.0, 0.998531897884403),
+            (0.0, 0.985885962022595),
+            (2.0, 0.9858022427962124),
+        ],
+        {
+            "samples": 496,
+            "collision_checks": 2094,
+            "neighbor_queries": 301,
+            "shrink_rounds": 1298,
+            "batches": 3,
+        },
+    ),
+    ("w2g2", "bit", 1): (
+        [
+            (0.0, 1.044642305945947),
+            (0.0, 0.9986977379402028),
+            (0.0, 0.99116768709282),
+            (1.0, 0.9910426527427356),
+            (2.0, 0.9904281499305969),
+            (2.0, 0.9862094488654957),
+            (2.0, 0.9861622497064115),
+            (2.0, 0.9860903086582977),
+            (2.0, 0.9860224639926133),
+        ],
+        {
+            "samples": 300,
+            "collision_checks": 398,
+            "neighbor_queries": 159,
+            "shrink_rounds": 159,
+            "batches": 3,
+        },
+    ),
+    ("w2g2", "bit", 2): (
+        [
+            (0.0, 0.998531897884403),
+            (0.0, 0.9888479815897743),
+            (2.0, 0.9882459058181792),
+            (2.0, 0.9876355436421268),
+            (2.0, 0.9875821568554577),
+            (2.0, 0.9863098237846586),
+            (2.0, 0.9862889236431653),
+            (2.0, 0.9862827460623909),
+            (2.0, 0.9860473123123283),
+            (2.0, 0.985962897326782),
+        ],
+        {
+            "samples": 300,
+            "collision_checks": 475,
+            "neighbor_queries": 162,
+            "shrink_rounds": 162,
+            "batches": 3,
+        },
+    ),
+    ("w2g2", "informed_rrt_star", 1): (
+        [
+            (14.0, 1.1025794256689871),
+            (14.0, 1.0637200662879438),
+            (18.0, 1.0516641738035326),
+            (23.0, 1.0087066830121183),
+            (26.0, 1.007170683583269),
+            (28.0, 0.9974085631852048),
+            (32.0, 0.9938982759861665),
+            (36.0, 0.9925121690031985),
+            (39.0, 0.9905587531885875),
+            (41.0, 0.9900839252519575),
+            (42.0, 0.9873774964502552),
+            (43.0, 0.9872095166598714),
+            (43.0, 0.9868729325701436),
+            (48.0, 0.9868034342161119),
+            (49.0, 0.9866956250026682),
+            (57.0, 0.9866299934016922),
+            (57.0, 0.9861759775094597),
+            (59.0, 0.9861708513147656),
+            (82.0, 0.9859681585780262),
+            (159.0, 0.985930792437751),
+            (159.0, 0.9858843550366427),
+            (305.0, 0.9858256537802406),
+            (310.0, 0.9857982196366221),
+        ],
+        {"samples": 400, "collision_checks": 1701, "neighbor_queries": 371},
+    ),
+    ("w2g2", "informed_rrt_star", 2): (
+        [
+            (15.0, 1.008798141533561),
+            (19.0, 1.0077443798733206),
+            (22.0, 0.9940093832158624),
+            (27.0, 0.9919346586219685),
+            (40.0, 0.9892535181528459),
+            (40.0, 0.9888762789272152),
+            (42.0, 0.9876038822978986),
+            (48.0, 0.9875983334746787),
+            (55.0, 0.9867891362322145),
+            (72.0, 0.9864542399745992),
+            (82.0, 0.9864518209369596),
+            (87.0, 0.9861840632219759),
+            (90.0, 0.9860904753288355),
+            (101.0, 0.9859195129936633),
+            (152.0, 0.985917848668455),
+            (193.0, 0.9857931678255505),
+            (193.0, 0.9857735585850156),
+            (310.0, 0.9857715906963871),
+        ],
+        {"samples": 400, "collision_checks": 1424, "neighbor_queries": 377},
+    ),
 }
 
 
@@ -591,3 +723,16 @@ class TestGoldenEventLogs:
         events, counters = GOLDEN_RUNS[world, planner, seed]
         assert run.events == events
         assert run.counters == counters
+
+
+class TestTreeStatesOwnTheirData:
+    @pytest.mark.parametrize("world", ["w2", "w4"])
+    @pytest.mark.parametrize("planner", ["apt", "bit"])
+    def test_path_states_are_not_views(self, world, planner):
+        # a state that is a view keeps the whole array it was cut from alive
+        run = PLANNERS[planner](
+            GOLDEN_PROBLEMS[world],
+            PlannerConfig(max_iterations=GOLDEN_BUDGETS[planner], rng_seed=2),
+        )
+        assert run.success
+        assert all(state.base is None for state in run.path)

@@ -218,61 +218,34 @@ def orthonormal_basis(v: State) -> np.ndarray:
 
     The remaining columns come from Gram-Schmidt over the standard basis,
     skipping the axis most parallel to v. A zero vector yields the identity.
+    Python floats throughout: at planner dimensions per-call numpy overhead
+    would dominate.
     """
     v = np.asarray(v, dtype=float)
     n = v.size
     norm = float(np.sqrt(np.sum(v * v)))
     if norm == 0.0:
         return np.eye(n)
-    if n == 2:
-        # closed 2D form, operation-for-operation identical to the loop below
-        u0 = v[0] / norm
-        u1 = v[1] / norm
-        if abs(u0) >= abs(u1):
-            e0, e1 = 0.0 - u1 * u0, 1.0 - u1 * u1
-        else:
-            e0, e1 = 1.0 - u0 * u0, 0.0 - u0 * u1
-        enorm = math.sqrt(e0 * e0 + e1 * e1)
-        return np.array([[u0, e0 / enorm], [u1, e1 / enorm]])
-    if n <= 8:
-        # scalar path: same Gram-Schmidt recipe without per-call numpy
-        # overhead, which dominates at these sizes
-        u0 = [float(vi) / norm for vi in v]
-        cols = [u0]
-        skip = max(range(n), key=lambda i: abs(u0[i]))
-        for j in range(n):
-            if j == skip or len(cols) == n:
-                continue
-            e = [0.0] * n
-            e[j] = 1.0
-            for u in cols:
-                d = 0.0
-                for k in range(n):
-                    d += u[k] * e[k]
-                e = [e[k] - d * u[k] for k in range(n)]
-            enorm = math.sqrt(sum(ek * ek for ek in e))
-            if enorm < 1e-12:
-                continue
-            cols.append([ek / enorm for ek in e])
-        if len(cols) != n:
-            raise RuntimeError("failed to complete orthonormal basis")
-        return np.array(cols).T
-    cols = [v / norm]
-    skip = int(np.argmax(np.abs(cols[0])))
+    u0 = [float(vi) / norm for vi in v]
+    cols = [u0]
+    skip = max(range(n), key=lambda i: abs(u0[i]))
     for j in range(n):
         if j == skip or len(cols) == n:
             continue
-        e = np.zeros(n)
+        e = [0.0] * n
         e[j] = 1.0
         for u in cols:
-            e = e - np.dot(u, e) * u
-        enorm = float(np.sqrt(np.sum(e * e)))
+            d = 0.0
+            for k in range(n):
+                d += u[k] * e[k]
+            e = [e[k] - d * u[k] for k in range(n)]
+        enorm = math.sqrt(sum(ek * ek for ek in e))
         if enorm < 1e-12:
             continue
-        cols.append(e / enorm)
+        cols.append([ek / enorm for ek in e])
     if len(cols) != n:
         raise RuntimeError("failed to complete orthonormal basis")
-    return np.column_stack(cols)
+    return np.array(cols).T
 
 
 def sample_uniform(bounds: HyperRectangle, rng: np.random.Generator) -> State:

@@ -81,9 +81,6 @@ class EllipsoidRegion:
         d2 = np.einsum("ij,ij->i", offsets, offsets)
         return (p / self.major) ** 2 + (d2 - p * p) / (self.minor * self.minor) < 1.0
 
-    def contains_point(self, x: State) -> bool:
-        return bool(self.contains(np.asarray(x, dtype=float)[None, :])[0])
-
     def scaled(self, factor: float) -> EllipsoidRegion:
         """The region with both radii multiplied by factor."""
         return EllipsoidRegion(self.center, self.axis, self.major * factor, self.minor * factor)

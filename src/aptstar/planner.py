@@ -38,7 +38,7 @@ from .geometry import (
     sample_uniform,
     states_valid,
 )
-from .neighbors import NeighborConfig, elliptical_nn_query, rnn_radius
+from .neighbors import EllipsoidRegion, NeighborConfig, elliptical_nn_query, rnn_radius
 
 _EPS = 1e-12
 
@@ -146,11 +146,12 @@ class SearchTree:
     Besides the list of states, the tree keeps them as rows of a growable
     (m, n) array that doubles when full, so ``positions`` is a slice, not a
     re-stack. Rows are only appended, never rewritten: a k-d tree built on
-    ``positions`` stays valid while the tree grows.
+    ``positions`` stays valid while the tree grows. Each state is the tree's
+    own copy, never a view that would keep a caller's array alive.
     """
 
     def __init__(self, root: State):
-        root = np.asarray(root, dtype=float)
+        root = np.array(root, dtype=float)
         self.states: list[State] = [root]
         self.parent: list[int] = [-1]
         self.g: list[float] = [0.0]
@@ -173,7 +174,7 @@ class SearchTree:
 
     def add(self, state: State, parent: int, edge_cost: float) -> int:
         idx = len(self.states)
-        state = np.asarray(state, dtype=float)
+        state = np.array(state, dtype=float)
         if idx == len(self._rows):
             grown = np.empty((2 * idx, self._rows.shape[1]))
             grown[:idx] = self._rows
@@ -248,6 +249,231 @@ def _resolve_batch_config(config: PlannerConfig, n: int) -> BatchConfig:
     return BatchConfig(n_dim=n)
 
 
+class _AptRun:
+    """One plan_apt run: the tree, the sample pool and the incumbent solution,
+    with the phases of a batch as methods.
+
+    The pool is one (m, n) position array with a bool validity array beside
+    it. ``sample`` appends a batch of informed draws to it, ``search`` grows
+    the tree best-first (``expand`` connects pool members to a vertex,
+    ``rewire`` re-hangs tree vertices under it), and ``prune`` drops what
+    was connected and what can no longer improve the solution.
+    """
+
+    def __init__(self, problem: ProblemInstance, config: PlannerConfig):
+        self.problem = problem
+        self.config = config
+        self.world = problem.world
+        self.goals = list(problem.goals)
+        self.rng = np.random.default_rng(config.rng_seed)
+        self.clock = _Clock(wall=config.max_time is not None)
+        self.resolution = config.motion_resolution or default_motion_resolution(self.world)
+        keys = ("samples", "collision_checks", "neighbor_queries", "shrink_rounds", "batches")
+        self.counters = dict.fromkeys(keys, 0)
+        self.nn_stats: dict[str, int] = {}
+        self.events: list[tuple[float, float]] = []
+        self.tree = SearchTree(problem.start)
+        self.goal_vertex: dict[int, int] = {}
+        self.c_best = math.inf
+        self.best_goal: int | None = None
+        self.pool = np.empty((0, self.world.dimension))
+        self.pool_valid = np.zeros(0, dtype=bool)
+        # set by each search: the pool's goal distances and its connected members
+        self.h_pool = np.zeros(0)
+        self.connected = np.zeros(0, dtype=bool)
+        self.heap: list[tuple[float, int, int]] = []
+        self.counter = itertools.count()
+        # Edge validity is immutable for a static world, and rewiring retries
+        # the same candidate edges across batches; memoize per (a, b) pair.
+        self.motion_memo: dict[tuple[bytes, bytes], bool] = {}
+
+    def out_of_time(self) -> bool:
+        return self.config.max_time is not None and self.clock.now() >= self.config.max_time
+
+    def h(self, x: State) -> float:
+        return min(_dist(x, g) for g in self.goals)
+
+    def motion_ok(self, a: State, b: State) -> bool:
+        key = (a.tobytes(), b.tobytes())
+        if key not in self.motion_memo:
+            self.counters["collision_checks"] += 1
+            self.motion_memo[key] = is_motion_valid(self.world, a, b, self.resolution)
+        return self.motion_memo[key]
+
+    def push(self, v: int) -> None:
+        key = self.tree.g[v] + self.h(self.tree.states[v])
+        heapq.heappush(self.heap, (key, next(self.counter), v))
+
+    def record_improvement(self) -> None:
+        for gi, v in self.goal_vertex.items():
+            if self.tree.g[v] < self.c_best - _EPS:
+                self.c_best = self.tree.g[v]
+                self.best_goal = gi
+                self.events.append((self.clock.now(), self.c_best))
+
+    def try_goal(self, v: int) -> None:
+        tree = self.tree
+        for gi, gstate in enumerate(self.goals):
+            d = _dist(tree.states[v], gstate)
+            if d <= 0.0:
+                continue
+            g_new = tree.g[v] + d
+            existing = self.goal_vertex.get(gi)
+            bound = self.c_best if existing is None else min(self.c_best, tree.g[existing])
+            if g_new >= bound - _EPS:
+                continue
+            if not self.motion_ok(tree.states[v], gstate):
+                continue
+            if existing is None:
+                self.goal_vertex[gi] = tree.add(gstate, v, d)
+            else:
+                tree.reparent(existing, v, d)
+            self.record_improvement()
+
+    def sample(self, batch: int) -> None:
+        """Draw batch informed samples into the pool with their validity."""
+        start = self.problem.start
+        focus = self.goals[self.best_goal] if self.best_goal is not None else min(
+            self.goals, key=lambda g: distance(start, g)
+        )
+        informed = InformedSet(start, focus, self.c_best, distance(start, focus))
+        drawn = np.reshape(
+            [sample_informed(informed, self.world.bounds, self.rng) for _ in range(batch)],
+            (batch, self.world.dimension),
+        )
+        self.counters["samples"] += batch
+        self.pool = np.concatenate([self.pool, drawn])
+        self.pool_valid = np.concatenate([self.pool_valid, states_valid(self.world, drawn)])
+
+    def search(self, batch: int, charge: float) -> bool:
+        """Expand vertices best-first until none can improve the solution;
+        False when the time budget ran out first."""
+        tree, n = self.tree, self.world.dimension
+        kdtree = cKDTree(np.vstack([self.pool, tree.positions]))
+        tree_kd = cKDTree(tree.positions)
+        valid = np.concatenate([self.pool_valid, np.ones(len(tree), dtype=bool)])
+        self.h_pool = _goal_distances(self.pool, self.goals)
+        self.connected = np.zeros(len(self.pool), dtype=bool)
+        informed_measure = math.inf
+        if math.isfinite(self.c_best):
+            informed_measure = lebesgue_measure(self.c_best, self.problem.c_min, n)
+        r = rnn_radius(batch, n, informed_measure, self.world.bounds.volume, self.config.eta)
+
+        self.heap = []
+        for v in range(len(tree)):
+            self.push(v)
+        processed: dict[int, float] = {}
+        while self.heap:
+            if self.out_of_time():
+                return False
+            key, _, v = heapq.heappop(self.heap)
+            if key >= self.c_best - _EPS:
+                continue
+            if key > tree.g[v] + self.h(tree.states[v]) + _EPS:
+                continue  # stale entry; vertex was rewired to a better cost
+            if v in processed and processed[v] <= tree.g[v] + _EPS:
+                continue
+            processed[v] = tree.g[v]
+            self.counters["neighbor_queries"] += 1
+            nbrs, region = elliptical_nn_query(
+                tree.states[v], kdtree, valid, r, self.config.neighbor, charge,
+                stats=self.nn_stats,
+            )
+            self.expand(v, nbrs)
+            # rewiring candidates come from the same region, both radii scaled
+            if region is not None:
+                self.rewire(v, region.scaled(self.config.rewire_factor), tree_kd)
+        return True
+
+    def expand(self, v: int, nbrs: list[int]) -> None:
+        """Connect v to its unconnected pool neighbors, nearest first."""
+        tree = self.tree
+        xv = tree.states[v]
+        cand = np.array(nbrs, dtype=int)
+        cand = cand[cand < len(self.pool)]
+        cand = cand[~self.connected[cand]]
+        rel = self.pool[cand] - xv
+        dvec = np.sqrt(np.einsum("ij,ij->i", rel, rel))
+        for oi in np.lexsort((cand, dvec)):
+            i = cand[oi]
+            d = float(dvec[oi])
+            if d <= 0.0:
+                continue
+            if tree.g[v] + d + self.h_pool[i] >= self.c_best - _EPS:
+                continue
+            if not self.motion_ok(xv, self.pool[i]):
+                continue
+            w = tree.add(self.pool[i], v, d)
+            self.connected[i] = True
+            self.push(w)
+            self.try_goal(w)
+
+    def rewire(self, v: int, region: EllipsoidRegion, tree_kd: cKDTree) -> None:
+        """Re-hang the vertices in region under v where that is cheaper; tree_kd
+        indexes the tree as the batch began, and rows are only appended."""
+        tree = self.tree
+        xv = tree.states[v]
+        cand = np.array(sorted(tree_kd.query_ball_point(xv, region.major)), dtype=int)
+        rel = tree.positions[cand] - xv
+        inside = region.contains_offsets(rel)
+        cand = cand[inside]
+        rel = rel[inside]
+        rewire_d = np.sqrt(np.einsum("ij,ij->i", rel, rel))
+        gv = tree.g[v]
+        for w, d in zip(cand.tolist(), rewire_d.tolist()):
+            if w == v or w == 0 or d <= 0.0:
+                continue
+            if gv + d >= tree.g[w] - _EPS:
+                continue
+            if tree.is_ancestor(w, v):
+                continue
+            if not self.motion_ok(xv, tree.states[w]):
+                continue
+            for t in tree.reparent(w, v, d):
+                self.push(t)
+            self.record_improvement()
+
+    def prune(self) -> None:
+        """Drop the pool members connected this batch and, once a solution
+        exists, the members and vertices that cannot improve it. Vertices cut
+        off below a pruned one return to the pool as valid samples if they can.
+        """
+        keep = ~self.connected
+        recycled: list[State] = []
+        if math.isfinite(self.c_best):
+            start, tree = self.problem.start, self.tree
+            # invalid samples are pruned by the same informed-set rule as valid ones
+            offsets = self.pool - start
+            d_start = np.sqrt(np.einsum("ij,ij->i", offsets, offsets))
+            keep &= d_start + self.h_pool < self.c_best
+            protected = set()
+            v = self.goal_vertex[self.best_goal]
+            while v != -1:
+                protected.add(v)
+                v = tree.parent[v]
+            goal_keys = {tuple(g) for g in self.goals}
+            self.tree = SearchTree(tree.states[0])
+            idx_map = {0: 0}
+            stack = [0]
+            while stack:
+                v = stack.pop()
+                for w in tree.children[v]:
+                    xw = tree.states[w]
+                    fhat = _dist(start, xw) + self.h(xw)
+                    if v in idx_map and (w in protected or fhat < self.c_best):
+                        idx_map[w] = self.tree.add(xw, idx_map[v], tree.g[w] - tree.g[v])
+                    elif fhat < self.c_best and tuple(xw) not in goal_keys:
+                        recycled.append(xw)
+                    stack.append(w)
+            self.goal_vertex = {
+                gi: idx_map[v] for gi, v in self.goal_vertex.items() if v in idx_map
+            }
+        self.pool = np.vstack([self.pool[keep], *recycled])
+        self.pool_valid = np.concatenate(
+            [self.pool_valid[keep], np.ones(len(recycled), dtype=bool)]
+        )
+
+
 def plan_apt(
     problem: ProblemInstance,
     config: PlannerConfig,
@@ -267,265 +493,36 @@ def plan_apt(
     With adaptive=False every batch has m_default samples and zero charge,
     so every region is the r-ball: the fixed-batch isotropic ablation.
     """
-    world = problem.world
-    n = world.dimension
-    rng = np.random.default_rng(config.rng_seed)
-    clock = _Clock(wall=config.max_time is not None)
-    resolution = config.motion_resolution or default_motion_resolution(world)
+    n = problem.world.dimension
     batch_cfg = _resolve_batch_config(config, n)
     batch_state = BatchState()
-    bounds_measure = world.bounds.volume
-    c_min = problem.c_min
-    goals = list(problem.goals)
-
-    run = PlannerRun(planner="apt" if adaptive else "bit")
-    counters = {
-        "samples": 0,
-        "collision_checks": 0,
-        "neighbor_queries": 0,
-        "shrink_rounds": 0,
-        "batches": 0,
-    }
-    nn_stats: dict[str, int] = {}
-
-    tree = SearchTree(problem.start)
-    goal_vertex: dict[int, int] = {}
-    pool_states: list[State] = []
-    pool_valid: list[bool] = []
-    c_best = math.inf
-    best_goal: int | None = None
-
-    def h(x: State) -> float:
-        return min(_dist(x, g) for g in goals)
-
-    # Edge validity is immutable for a static world, and rewiring retries the
-    # same candidate edges across batches; memoize per (a, b) pair.
-    motion_memo: dict[tuple[bytes, bytes], bool] = {}
-
-    def motion_ok(a: State, b: State) -> bool:
-        key = (a.tobytes(), b.tobytes())
-        cached = motion_memo.get(key)
-        if cached is not None:
-            return cached
-        counters["collision_checks"] += 1
-        ok = is_motion_valid(world, a, b, resolution)
-        motion_memo[key] = ok
-        return ok
-
-    def record_improvement() -> None:
-        nonlocal c_best, best_goal
-        for gi, v in goal_vertex.items():
-            if tree.g[v] < c_best - _EPS:
-                c_best = tree.g[v]
-                best_goal = gi
-                run.events.append((clock.now(), c_best))
-
-    def try_goal(v: int) -> None:
-        for gi, gstate in enumerate(goals):
-            d = _dist(tree.states[v], gstate)
-            if d <= 0.0:
-                continue
-            g_new = tree.g[v] + d
-            existing = goal_vertex.get(gi)
-            bound = c_best if existing is None else min(c_best, tree.g[existing])
-            if g_new >= bound - _EPS:
-                continue
-            if not motion_ok(tree.states[v], gstate):
-                continue
-            if existing is None:
-                goal_vertex[gi] = tree.add(gstate, v, d)
-            else:
-                tree.reparent(existing, v, d)
-            record_improvement()
-
-    def prune() -> None:
-        nonlocal tree, goal_vertex, pool_states, pool_valid
-        if not math.isfinite(c_best):
-            return
-        # Invalid samples are pruned by the same informed-set rule as valid ones.
-        arr = np.array(pool_states, dtype=float).reshape(len(pool_states), n)
-        d_start = np.sqrt(np.einsum("ij,ij->i", arr - problem.start, arr - problem.start))
-        keep_pool = np.nonzero(d_start + _goal_distances(arr, goals) < c_best)[0]
-        pool_states = [pool_states[i] for i in keep_pool]
-        pool_valid = [pool_valid[i] for i in keep_pool]
-
-        protected = set()
-        if best_goal is not None:
-            v = goal_vertex[best_goal]
-            while v != -1:
-                protected.add(v)
-                v = tree.parent[v]
-        keep = [False] * len(tree)
-        order = [0]
-        keep[0] = True
-        recycled: list[State] = []
-        idx_map = {0: 0}
-        new_tree = SearchTree(tree.states[0])
-        goal_states = {tuple(g): gi for gi, g in enumerate(goals)}
-        new_goal_vertex: dict[int, int] = {}
-        stack = [0]
-        while stack:
-            v = stack.pop()
-            for w in tree.children[v]:
-                fhat = _dist(problem.start, tree.states[w]) + h(tree.states[w])
-                if keep[v] and (w in protected or fhat < c_best):
-                    keep[w] = True
-                    idx_map[w] = new_tree.add(
-                        tree.states[w], idx_map[v], tree.g[w] - tree.g[v]
-                    )
-                elif fhat < c_best and tuple(tree.states[w]) not in goal_states:
-                    recycled.append(tree.states[w])
-                stack.append(w)
-        for gi, v in goal_vertex.items():
-            if keep[v]:
-                new_goal_vertex[gi] = idx_map[v]
-        pool_states.extend(recycled)
-        pool_valid.extend([True] * len(recycled))
-        tree = new_tree
-        goal_vertex = new_goal_vertex
-
+    state = _AptRun(problem, config)
     max_batches = config.max_iterations if config.max_iterations is not None else 10**9
-    counter = itertools.count()
 
-    try_goal(0)
-
+    state.try_goal(0)
     for batch_index in range(max_batches):
-        clock.tick(batch_index)
-        if config.max_time is not None and clock.now() >= config.max_time:
+        state.clock.tick(batch_index)
+        if state.out_of_time() or state.c_best <= problem.c_min + _EPS:
             break
-        if c_best <= c_min + _EPS:
-            break
-
-        if math.isfinite(c_best) and adaptive:
+        if math.isfinite(state.c_best) and adaptive:
             batch = adapt_batch_size(
-                batch_state.c_last, c_best, c_min, n, batch_cfg, batch_state
+                batch_state.c_last, state.c_best, problem.c_min, n, batch_cfg, batch_state
             )
         else:
             batch = batch_cfg.m_default
         charge = vertex_charge(batch, config.charge, batch_cfg) if adaptive else 0.0
-        counters["batches"] += 1
-
-        focus = goals[best_goal] if best_goal is not None else min(
-            goals, key=lambda g: distance(problem.start, g)
-        )
-        informed = InformedSet(problem.start, focus, c_best, distance(problem.start, focus))
-        drawn = [sample_informed(informed, world.bounds, rng) for _ in range(batch)]
-        counters["samples"] += batch
-        pool_states.extend(drawn)
-        pool_valid.extend(states_valid(world, np.reshape(drawn, (batch, n))).tolist())
-
-        n_pool = len(pool_states)
-        pool_pos = np.array(pool_states, dtype=float).reshape(n_pool, n)
-        positions = np.vstack([pool_pos, tree.positions])
-        valid_all = np.concatenate(
-            [np.array(pool_valid, dtype=bool), np.ones(len(tree), dtype=bool)]
-        )
-        kdtree = cKDTree(positions)
-        tree_kd = cKDTree(tree.positions)
-        h_pool = _goal_distances(pool_pos, goals)
-        informed_measure = (
-            lebesgue_measure(c_best, c_min, n) if math.isfinite(c_best) else math.inf
-        )
-        r = rnn_radius(batch, n, informed_measure, bounds_measure, config.eta)
-        connected_pool: set[int] = set()
-
-        heap: list[tuple[float, int, int]] = []
-        for v in range(len(tree)):
-            heapq.heappush(heap, (tree.g[v] + h(tree.states[v]), next(counter), v))
-
-        budget_hit = False
-        processed: dict[int, float] = {}
-        while heap:
-            if config.max_time is not None and clock.now() >= config.max_time:
-                budget_hit = True
-                break
-            key, _, v = heapq.heappop(heap)
-            if key >= c_best - _EPS:
-                continue
-            if key > tree.g[v] + h(tree.states[v]) + _EPS:
-                continue  # stale entry; vertex was rewired to a better cost
-            if v in processed and processed[v] <= tree.g[v] + _EPS:
-                continue
-            processed[v] = tree.g[v]
-            xv = tree.states[v]
-
-            counters["neighbor_queries"] += 1
-            nbrs, region = elliptical_nn_query(
-                xv, kdtree, valid_all, r, config.neighbor, charge, stats=nn_stats
-            )
-            cand_ids = [i for i in nbrs if i < n_pool and i not in connected_pool]
-            if cand_ids:
-                arr = positions[cand_ids]
-                dvec = np.sqrt(np.einsum("ij,ij->i", arr - xv, arr - xv))
-                order = np.lexsort((cand_ids, dvec))
-            else:
-                order = ()
-            for oi in order:
-                i = cand_ids[oi]
-                d = float(dvec[oi])
-                if d <= 0.0:
-                    continue
-                g_new = tree.g[v] + d
-                if g_new + h_pool[i] >= c_best - _EPS:
-                    continue
-                if not motion_ok(xv, pool_states[i]):
-                    continue
-                w = tree.add(pool_states[i], v, d)
-                connected_pool.add(i)
-                heapq.heappush(
-                    heap, (tree.g[w] + h(tree.states[w]), next(counter), w)
-                )
-                try_goal(w)
-
-            # Rewiring candidates come from the same prolate region with both
-            # radii scaled by rewire_factor, restricted to tree vertices.
-            if region is not None:
-                rewire_region = region.scaled(config.rewire_factor)
-                cand = np.array(
-                    sorted(tree_kd.query_ball_point(xv, rewire_region.major)), dtype=int
-                )
-                if cand.size:
-                    rel = positions[cand + n_pool] - xv
-                    inside = rewire_region.contains_offsets(rel)
-                    cand = cand[inside]
-                    rel = rel[inside]
-                    rewire_d = np.sqrt(np.einsum("ij,ij->i", rel, rel))
-                else:
-                    rewire_d = np.zeros(0)
-                gv = tree.g[v]
-                for w, d in zip(cand, rewire_d):
-                    w = int(w)
-                    d = float(d)
-                    if w == v or w == 0 or d <= 0.0:
-                        continue
-                    if gv + d >= tree.g[w] - _EPS:
-                        continue
-                    if tree.is_ancestor(w, v):
-                        continue
-                    if not motion_ok(xv, tree.states[w]):
-                        continue
-                    for t in tree.reparent(w, v, d):
-                        heapq.heappush(
-                            heap, (tree.g[t] + h(tree.states[t]), next(counter), t)
-                        )
-                    record_improvement()
-
-        if connected_pool:
-            pool_states = [
-                s for i, s in enumerate(pool_states) if i not in connected_pool
-            ]
-            pool_valid = [
-                v for i, v in enumerate(pool_valid) if i not in connected_pool
-            ]
-        prune()
-        if budget_hit:
+        state.counters["batches"] += 1
+        state.sample(batch)
+        finished = state.search(batch, charge)
+        state.prune()
+        if not finished:
             break
 
-    counters["shrink_rounds"] = nn_stats.get("shrink_rounds", 0)
-    run.counters = counters
-    if best_goal is not None:
+    state.counters["shrink_rounds"] = state.nn_stats.get("shrink_rounds", 0)
+    run = PlannerRun("apt" if adaptive else "bit", state.events, counters=state.counters)
+    if state.best_goal is not None:
         run.success = True
-        run.path = extract_path(tree, goal_vertex[best_goal])
+        run.path = extract_path(state.tree, state.goal_vertex[state.best_goal])
     return run
 
 

@@ -340,9 +340,10 @@ class TestOrthonormalBasis:
 
     def test_determinant_in_r8(self):
         rng = np.random.default_rng(5)
-        for _ in range(20):
-            q = orthonormal_basis(rng.standard_normal(8))
-            assert abs(abs(np.linalg.det(q)) - 1.0) < 1e-9
+        for n in (8, 12, 16):
+            for _ in range(20):
+                q = orthonormal_basis(rng.standard_normal(n))
+                assert abs(abs(np.linalg.det(q)) - 1.0) < 1e-9
 
     def test_zero_vector(self):
         assert np.array_equal(orthonormal_basis(np.zeros(4)), np.eye(4))

@@ -158,19 +158,19 @@ class TestFrameAndAxes:
 class TestInEllipse:
     def test_ball_case(self):
         region = EllipsoidRegion(np.zeros(2), None, 1.0, 1.0)
-        assert region.contains_point(np.array([0.5, 0.0]))
+        assert region.contains(np.array([0.5, 0.0]))[0]
 
     def test_boundary_excluded(self):
         region = EllipsoidRegion(np.zeros(2), np.array([1.0, 0.0]), 2.0, 1.0)
-        assert not region.contains_point(np.array([2.0, 0.0]))
+        assert not region.contains(np.array([2.0, 0.0]))[0]
 
     def test_rotated_frame(self):
         u1 = np.array([1.0, 1.0]) / math.sqrt(2.0)
         u2 = np.array([-1.0, 1.0]) / math.sqrt(2.0)
         center = np.array([0.2, 0.3])
         region = EllipsoidRegion(center, u1, 2.0, 1.0)
-        assert region.contains_point(center + 1.5 * u1)
-        assert not region.contains_point(center + 1.5 * u2)
+        assert region.contains(center + 1.5 * u1)[0]
+        assert not region.contains(center + 1.5 * u2)[0]
 
     def test_ball_equals_euclidean_predicate(self):
         rng = np.random.default_rng(9)

@@ -253,6 +253,10 @@ def sample_uniform(bounds: HyperRectangle, rng: np.random.Generator) -> State:
     return bounds.min_corner + rng.random(bounds.dimension) * bounds.widths
 
 
+# consecutive rejected draws after which informed sampling gives up
+_MAX_REJECTS = 100_000
+
+
 def sample_informed(
     informed: InformedSet, bounds: HyperRectangle, rng: np.random.Generator
 ) -> State:
@@ -271,7 +275,7 @@ def sample_informed(
     n = informed.focus_a.size
     axes, rot, center = informed.transform
     inv_n = 1.0 / n
-    for _ in range(100_000):
+    for _ in range(_MAX_REJECTS):
         raw = rng.standard_normal(n)
         norm = math.sqrt(raw.dot(raw))  # np.linalg.norm's own arithmetic
         if norm == 0.0:
@@ -281,6 +285,63 @@ def sample_informed(
         if bounds.contains(x):
             return x
     raise RuntimeError("informed sampling failed to hit the bounds")
+
+
+def sample_batch(
+    informed: InformedSet, bounds: HyperRectangle, rng: np.random.Generator, count: int
+) -> np.ndarray:
+    """count draws of sample_informed as one (count, n) array.
+
+    The rows equal count successive sample_informed calls bit for bit, and
+    rng is left in the same state. Only the random-number calls stay one per
+    draw, in sample_informed's order; the transform and the bounds test run
+    on all of a round's draws at once, and each round draws only the
+    shortfall, so no draw past the last accepted one is consumed. The
+    rotation is a stacked matrix-vector product because a plain matrix
+    product rounds differently from ``rot @ v``.
+    """
+    if count < 0:
+        raise ValueError("count must be nonnegative")
+    if not math.isfinite(informed.c_current):
+        return bounds.min_corner + rng.random((count, bounds.dimension)) * bounds.widths
+    if informed.c_current <= informed.c_min:
+        raise ValueError("informed set has no interior")
+    n = informed.focus_a.size
+    axes, rot, center = informed.transform
+    inv_n = 1.0 / n
+    out = np.empty((count, n))
+    filled = 0
+    misses = 0  # rejected draws since the last accepted one
+    while filled < count:
+        need = count - filled
+        raws = np.empty((need, n))
+        norms = np.zeros(need)
+        scales = np.empty(need)
+        for i in range(need):
+            raw = rng.standard_normal(n)
+            norm = math.sqrt(raw.dot(raw))
+            if norm == 0.0:
+                continue  # a rejected draw, as in sample_informed
+            raws[i] = raw
+            norms[i] = norm
+            scales[i] = rng.random() ** inv_n
+        drawn = np.flatnonzero(norms)
+        y = raws[drawn] / norms[drawn, None] * scales[drawn, None] * axes
+        x = center + (rot @ y[:, :, None])[:, :, 0]
+        inside = np.all((x >= bounds.min_corner) & (x <= bounds.max_corner), axis=1)
+        hits = drawn[inside]
+        # rejected draws before each accepted one, the first run continuing the last round's
+        runs = np.diff(hits, prepend=-1) - 1
+        if hits.size:
+            runs[0] += misses
+            misses = need - 1 - int(hits[-1])
+        else:
+            misses += need
+        if misses >= _MAX_REJECTS or np.any(runs >= _MAX_REJECTS):
+            raise RuntimeError("informed sampling failed to hit the bounds")
+        out[filled : filled + hits.size] = x[inside]
+        filled += hits.size
+    return out
 
 
 def is_state_valid(world: WorldModel, x: State) -> bool:

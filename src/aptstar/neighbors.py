@@ -15,7 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .geometry import State, orthonormal_basis, unit_ball_volume
+# no query builds a frame; orthonormal_basis stays importable from here because
+# perfbench/layers.py times its "geometry.frame" layer under this name
+from .geometry import State, orthonormal_basis, unit_ball_volume  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -84,12 +86,6 @@ class EllipsoidRegion:
     def scaled(self, factor: float) -> EllipsoidRegion:
         """The region with both radii multiplied by factor."""
         return EllipsoidRegion(self.center, self.axis, self.major * factor, self.minor * factor)
-
-    def frame(self) -> np.ndarray:
-        """Orthonormal n x n frame whose first column is the axis; identity for a ball."""
-        if self.axis is None:
-            return np.eye(np.asarray(self.center).size)
-        return orthonormal_basis(self.axis)
 
 
 def rnn_radius(

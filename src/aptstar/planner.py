@@ -34,6 +34,7 @@ from .geometry import (
     is_motion_valid,
     is_state_valid,
     lebesgue_measure,
+    sample_batch,
     sample_informed,
     sample_uniform,
     states_valid,
@@ -273,6 +274,8 @@ class _AptRun:
         self.nn_stats: dict[str, int] = {}
         self.events: list[tuple[float, float]] = []
         self.tree = SearchTree(problem.start)
+        # each vertex's goal distance, stored once for its heap keys
+        self.h_tree = [self.h(problem.start)]
         self.goal_vertex: dict[int, int] = {}
         self.c_best = math.inf
         self.best_goal: int | None = None
@@ -293,6 +296,11 @@ class _AptRun:
     def h(self, x: State) -> float:
         return min(_dist(x, g) for g in self.goals)
 
+    def add(self, state: State, parent: int, edge_cost: float, h: float) -> int:
+        """Add a tree vertex with its goal distance h."""
+        self.h_tree.append(h)
+        return self.tree.add(state, parent, edge_cost)
+
     def motion_ok(self, a: State, b: State) -> bool:
         key = (a.tobytes(), b.tobytes())
         if key not in self.motion_memo:
@@ -301,7 +309,7 @@ class _AptRun:
         return self.motion_memo[key]
 
     def push(self, v: int) -> None:
-        key = self.tree.g[v] + self.h(self.tree.states[v])
+        key = self.tree.g[v] + self.h_tree[v]
         heapq.heappush(self.heap, (key, next(self.counter), v))
 
     def record_improvement(self) -> None:
@@ -325,7 +333,7 @@ class _AptRun:
             if not self.motion_ok(tree.states[v], gstate):
                 continue
             if existing is None:
-                self.goal_vertex[gi] = tree.add(gstate, v, d)
+                self.goal_vertex[gi] = self.add(gstate, v, d, self.h(gstate))
             else:
                 tree.reparent(existing, v, d)
             self.record_improvement()
@@ -337,10 +345,7 @@ class _AptRun:
             self.goals, key=lambda g: distance(start, g)
         )
         informed = InformedSet(start, focus, self.c_best, distance(start, focus))
-        drawn = np.reshape(
-            [sample_informed(informed, self.world.bounds, self.rng) for _ in range(batch)],
-            (batch, self.world.dimension),
-        )
+        drawn = sample_batch(informed, self.world.bounds, self.rng, batch)
         self.counters["samples"] += batch
         self.pool = np.concatenate([self.pool, drawn])
         self.pool_valid = np.concatenate([self.pool_valid, states_valid(self.world, drawn)])
@@ -369,7 +374,7 @@ class _AptRun:
             key, _, v = heapq.heappop(self.heap)
             if key >= self.c_best - _EPS:
                 continue
-            if key > tree.g[v] + self.h(tree.states[v]) + _EPS:
+            if key > tree.g[v] + self.h_tree[v] + _EPS:
                 continue  # stale entry; vertex was rewired to a better cost
             if v in processed and processed[v] <= tree.g[v] + _EPS:
                 continue
@@ -394,16 +399,18 @@ class _AptRun:
         cand = cand[~self.connected[cand]]
         rel = self.pool[cand] - xv
         dvec = np.sqrt(np.einsum("ij,ij->i", rel, rel))
+        # the loop's bound test on the incumbent as the call began; the
+        # incumbent only falls during the call, so the loop tests again
+        hopeful = (dvec > 0.0) & (tree.g[v] + dvec + self.h_pool[cand] < self.c_best - _EPS)
+        cand, dvec = cand[hopeful], dvec[hopeful]
         for oi in np.lexsort((cand, dvec)):
             i = cand[oi]
             d = float(dvec[oi])
-            if d <= 0.0:
-                continue
             if tree.g[v] + d + self.h_pool[i] >= self.c_best - _EPS:
                 continue
             if not self.motion_ok(xv, self.pool[i]):
                 continue
-            w = tree.add(self.pool[i], v, d)
+            w = self.add(self.pool[i], v, d, self.h(self.pool[i]))
             self.connected[i] = True
             self.push(w)
             self.try_goal(w)
@@ -453,15 +460,16 @@ class _AptRun:
                 v = tree.parent[v]
             goal_keys = {tuple(g) for g in self.goals}
             self.tree = SearchTree(tree.states[0])
+            h_tree, self.h_tree = self.h_tree, self.h_tree[:1]
             idx_map = {0: 0}
             stack = [0]
             while stack:
                 v = stack.pop()
                 for w in tree.children[v]:
                     xw = tree.states[w]
-                    fhat = _dist(start, xw) + self.h(xw)
+                    fhat = _dist(start, xw) + h_tree[w]
                     if v in idx_map and (w in protected or fhat < self.c_best):
-                        idx_map[w] = self.tree.add(xw, idx_map[v], tree.g[w] - tree.g[v])
+                        idx_map[w] = self.add(xw, idx_map[v], tree.g[w] - tree.g[v], h_tree[w])
                     elif fhat < self.c_best and tuple(xw) not in goal_keys:
                         recycled.append(xw)
                     stack.append(w)

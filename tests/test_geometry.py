@@ -17,6 +17,7 @@ from aptstar.geometry import (
     lebesgue_measure,
     load_world,
     orthonormal_basis,
+    sample_batch,
     sample_informed,
     sample_uniform,
     save_world,
@@ -149,6 +150,84 @@ class TestSampleInformed:
         box = HyperRectangle(np.full(n, -5.0), np.full(n, 5.0))
         x = sample_informed(informed, box, rng)
         assert informed.contains(x)
+
+
+
+def draws_one_by_one(informed, box, rng, count):
+    return np.array([sample_informed(informed, box, rng) for _ in range(count)]).reshape(
+        count, box.dimension
+    )
+
+
+class TestSampleBatch:
+    """sample_batch must equal count sample_informed calls bit for bit, and
+    leave the generator where they leave it."""
+
+    def assert_same_as_one_by_one(self, informed, box, seed, count):
+        one, batch = np.random.default_rng(seed), np.random.default_rng(seed)
+        want = draws_one_by_one(informed, box, one, count)
+        got = sample_batch(informed, box, batch, count)
+        assert got.shape == (count, box.dimension)
+        assert np.array_equal(got, want)
+        assert batch.bit_generator.state == one.bit_generator.state
+        return got
+
+    @pytest.mark.parametrize("n", range(1, 17))
+    def test_informed_draws_are_bit_identical(self, n):
+        rng = np.random.default_rng(100 + n)
+        box = HyperRectangle(np.zeros(n), np.ones(n))
+        wide = HyperRectangle(np.full(n, -10.0), np.full(n, 10.0))
+        cut = 0
+        for case in range(20):
+            # foci off every coordinate axis, and sets the unit box cuts
+            fa, fb = rng.uniform(0.0, 1.0, n), rng.uniform(0.0, 1.0, n)
+            c_min = distance(fa, fb)
+            informed = InformedSet(fa, fb, c_min * float(rng.uniform(1.01, 2.5)), c_min)
+            count = int(rng.integers(1, 60))
+            got = self.assert_same_as_one_by_one(informed, box, case, count)
+            # the same stream without rejections gives other rows
+            unbounded = sample_batch(informed, wide, np.random.default_rng(case), count)
+            cut += not np.array_equal(got, unbounded)
+        assert cut >= 5
+
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    def test_infinite_cost_is_uniform_over_the_bounds(self, n):
+        box = HyperRectangle(np.linspace(-1.0, 0.0, n), np.linspace(0.5, 3.0, n))
+        fa, fb = np.zeros(n), np.full(n, 0.1)
+        informed = InformedSet(fa, fb, math.inf, distance(fa, fb))
+        got = self.assert_same_as_one_by_one(informed, box, 7, 100)
+        assert all(box.contains(x) for x in got)
+
+    def test_count_zero(self):
+        box = HyperRectangle([0.0] * 3, [1.0] * 3)
+        fa, fb = [0.1, 0.2, 0.3], [0.9, 0.8, 0.4]
+        for c in (math.inf, 1.5):
+            informed = InformedSet(fa, fb, c, distance(fa, fb))
+            got = self.assert_same_as_one_by_one(informed, box, 3, 0)
+            assert got.shape == (0, 3)
+
+    def test_negative_count_rejected(self):
+        box = HyperRectangle([0.0, 0.0], [1.0, 1.0])
+        informed = InformedSet([0.1, 0.5], [0.9, 0.5], 1.0, 0.8)
+        with pytest.raises(ValueError):
+            sample_batch(informed, box, np.random.default_rng(0), -1)
+
+    def test_no_interior_rejected_by_both(self):
+        box = HyperRectangle([0.0, 0.0], [1.0, 1.0])
+        informed = InformedSet([0.1, 0.5], [0.9, 0.5], 0.8, 0.8)
+        with pytest.raises(ValueError, match="no interior"):
+            sample_informed(informed, box, np.random.default_rng(0))
+        with pytest.raises(ValueError, match="no interior"):
+            sample_batch(informed, box, np.random.default_rng(0), 5)
+
+    def test_set_missing_the_bounds_fails_in_both(self):
+        box = HyperRectangle([0.0, 0.0], [1.0, 1.0])
+        informed = InformedSet([5.0, 5.0], [6.0, 5.0], 1.2, 1.0)
+        with pytest.raises(RuntimeError) as one:
+            sample_informed(informed, box, np.random.default_rng(0))
+        with pytest.raises(RuntimeError) as batch:
+            sample_batch(informed, box, np.random.default_rng(0), 50)
+        assert str(batch.value) == str(one.value)
 
 
 class TestLebesgueMeasure:

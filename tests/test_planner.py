@@ -15,6 +15,8 @@ from aptstar.planner import (
     plan_informed_rrt_star,
     plan_rrt_connect,
 )
+from aptstar.worlds import WorldSpec
+from aptstar.worlds import make_problem as make_spec_problem
 
 from oracles import visibility_shortest_path
 
@@ -358,6 +360,41 @@ GOLDEN_PROBLEMS = {
         ),
         [0.05, 0.71, 0.63, 0.25],
         ([0.95, 0.48, 0.18, 0.71],),
+    ),
+    # an 8-D wall with its gap far off the start-goal line; the wall spans
+    # the bounds on axes 2-7. At the RRT edge length every vertex is a
+    # neighbor of a new one and long draws are steered.
+    "w8": ProblemInstance(
+        WorldModel(
+            HyperRectangle([0.0] * 8, [1.0] * 8),
+            (
+                HyperRectangle([0.45, 0.0] + [0.0] * 6, [0.55, 0.1] + [1.0] * 6),
+                HyperRectangle([0.45, 0.2] + [0.0] * 6, [0.55, 1.0] + [1.0] * 6),
+            ),
+        ),
+        [0.05] + [0.5] * 7,
+        ([0.95] + [0.5] * 7,),
+    ),
+    # the same wall in bounds stretched to 2 on axes 2-7: draws are often
+    # farther than the edge length from the tree and are steered, and the
+    # neighbor radius no longer holds every vertex
+    "w8s": ProblemInstance(
+        WorldModel(
+            HyperRectangle([0.0] * 8, [1.0] * 2 + [2.0] * 6),
+            (
+                HyperRectangle([0.45, 0.0] + [0.0] * 6, [0.55, 0.1] + [2.0] * 6),
+                HyperRectangle([0.45, 0.2] + [0.0] * 6, [0.55, 1.0] + [2.0] * 6),
+            ),
+        ),
+        [0.05, 0.5] + [1.0] * 6,
+        ([0.95, 0.5] + [1.0] * 6,),
+    ),
+    # 60 random 4-D boxes clipped at the bounds, so many boxes touch the
+    # bounds on some axes but not on others
+    "r4": make_spec_problem(
+        WorldSpec(
+            "random_rectangles", 4, seed=0, obstacle_count=60, width_range=(0.25, 0.45)
+        )
     ),
 }
 GOLDEN_BUDGETS = {"apt": 3, "bit": 3, "rrt_connect": 300, "informed_rrt_star": 400}
@@ -795,6 +832,97 @@ GOLDEN_RUNS = {
             "shrink_rounds": 81,
             "batches": 3,
         },
+    ),
+    ("w8", "informed_rrt_star", 1): (
+        [
+            (18.0, 2.53009882583685),
+            (85.0, 2.496358421172471),
+            (99.0, 2.277684225502016),
+            (127.0, 2.0446485280672153),
+            (150.0, 1.8267306032001267),
+            (247.0, 1.727974382077496),
+            (392.0, 1.5599953469891772),
+        ],
+        {"samples": 400, "collision_checks": 15613, "neighbor_queries": 358},
+    ),
+    ("w8", "informed_rrt_star", 2): (
+        [
+            (24.0, 2.910889469900807),
+            (26.0, 2.7245798902431644),
+            (48.0, 2.5169860936187085),
+            (62.0, 2.5147448615303576),
+            (94.0, 1.7134413697847322),
+            (100.0, 1.6168043831120062),
+            (134.0, 1.5410723083227367),
+            (153.0, 1.5030013957307862),
+        ],
+        {"samples": 400, "collision_checks": 12567, "neighbor_queries": 350},
+    ),
+    ("w8", "rrt_connect", 1): (
+        [
+            (95.0, 5.305986687649779),
+        ],
+        {"samples": 96, "collision_checks": 129},
+    ),
+    ("w8", "rrt_connect", 2): (
+        [
+            (45.0, 2.4984128627907785),
+        ],
+        {"samples": 46, "collision_checks": 65},
+    ),
+    ("w8s", "informed_rrt_star", 1): (
+        [
+            (35.0, 3.1516786274435837),
+            (104.0, 2.887717374074722),
+            (232.0, 2.682765314986509),
+            (316.0, 2.4279358442887107),
+        ],
+        {"samples": 400, "collision_checks": 3968, "neighbor_queries": 367},
+    ),
+    ("w8s", "informed_rrt_star", 2): (
+        [
+            (76.0, 6.759504377123303),
+            (84.0, 5.3429691366980645),
+            (134.0, 2.3395676793734808),
+            (221.0, 1.8889408858507164),
+            (262.0, 1.7306001575347514),
+        ],
+        {"samples": 400, "collision_checks": 5616, "neighbor_queries": 339},
+    ),
+    ("w8s", "rrt_connect", 1): (
+        [
+            (41.0, 4.61288842993258),
+        ],
+        {"samples": 42, "collision_checks": 65},
+    ),
+    ("w8s", "rrt_connect", 2): (
+        [
+            (45.0, 3.686800213666558),
+        ],
+        {"samples": 46, "collision_checks": 67},
+    ),
+    ("r4", "informed_rrt_star", 1): (
+        [
+            (99.0, 2.2819830585834944),
+            (100.0, 2.2655425333935875),
+            (107.0, 2.1293572028379826),
+            (125.0, 1.775584150109131),
+            (132.0, 1.0461831265066641),
+            (238.0, 1.0045372209356132),
+            (253.0, 0.9597791251610172),
+            (378.0, 0.9432895585036994),
+        ],
+        {"samples": 400, "collision_checks": 719, "neighbor_queries": 187},
+    ),
+    ("r4", "informed_rrt_star", 2): (
+        [
+            (152.0, 1.8291022014725848),
+            (155.0, 1.7208990266207382),
+            (314.0, 1.6759812867609958),
+            (328.0, 1.4692708500585563),
+            (332.0, 1.41317964814009),
+        ],
+        {"samples": 400, "collision_checks": 797, "neighbor_queries": 200},
     ),
 }
 

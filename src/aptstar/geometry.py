@@ -37,6 +37,10 @@ class HyperRectangle:
             raise ValueError("corner dimensionality mismatch")
         if np.any(self.min_corner > self.max_corner):
             raise ValueError("min_corner must not exceed max_corner on any axis")
+        # Python float corners for the scalar membership test
+        object.__setattr__(
+            self, "_corner_lists", (self.min_corner.tolist(), self.max_corner.tolist())
+        )
 
     @property
     def dimension(self) -> int:
@@ -55,8 +59,15 @@ class HyperRectangle:
         return float(np.prod(self.widths))
 
     def contains(self, x: State) -> bool:
-        """Closed-set membership: boundary points count as inside."""
-        return bool((x >= self.min_corner).all() and (x <= self.max_corner).all())
+        """Closed-set membership: boundary points count as inside, NaN does not."""
+        xs = np.asarray(x, dtype=float)
+        lo, hi = self._corner_lists
+        if xs.shape != (len(lo),):
+            raise ValueError("dimensionality mismatch")
+        for l, v, h in zip(lo, xs.tolist(), hi):
+            if not l <= v <= h:
+                return False
+        return True
 
     def intersects(self, other: "HyperRectangle") -> bool:
         return bool(
@@ -99,15 +110,24 @@ class WorldModel:
 
     @property
     def corner_lists(self) -> tuple[list, list, list[tuple[list, list]]]:
-        """Bounds (lo, hi) and every obstacle's (lo, hi) as Python float lists,
-        built lazily for the scalar segment check."""
+        """Python float lists for the scalar segment check, built lazily.
+
+        The bounds (lo, hi), and per obstacle two lists of (axis, lo, hi): the
+        axes on which the box does not cover the bounds, then those on which
+        it does. A segment inside the bounds is inside the box on every axis
+        that the box covers, so only the first list can separate them.
+        """
         cached = getattr(self, "_corner_lists", None)
         if cached is None:
-            cached = (
-                self.bounds.min_corner.tolist(),
-                self.bounds.max_corner.tolist(),
-                [(o.min_corner.tolist(), o.max_corner.tolist()) for o in self.obstacles],
-            )
+            blo, bhi = self.bounds.min_corner.tolist(), self.bounds.max_corner.tolist()
+            boxes = []
+            for o in self.obstacles:
+                axes = zip(range(len(blo)), o.min_corner.tolist(), o.max_corner.tolist())
+                cut, covered = [], []
+                for k, lo, hi in axes:
+                    (cut if lo > blo[k] or hi < bhi[k] else covered).append((k, lo, hi))
+                boxes.append((cut, covered))
+            cached = (blo, bhi, boxes)
             object.__setattr__(self, "_corner_lists", cached)
         return cached
 
@@ -183,7 +203,7 @@ def distance(a: State, b: State) -> float:
     b = np.asarray(b, dtype=float)
     if a.shape != b.shape:
         raise ValueError("dimensionality mismatch")
-    return float(np.sqrt(np.sum((a - b) ** 2)))
+    return math.sqrt(((a - b) ** 2).sum())
 
 
 def unit_ball_volume(n: int) -> float:
@@ -377,31 +397,34 @@ def is_motion_valid(world: WorldModel, a: State, b: State, resolution: float) ->
         raise ValueError("resolution must be positive")
     av = np.asarray(a, dtype=float).tolist()
     bv = np.asarray(b, dtype=float).tolist()
-    n = len(av)
     blo, bhi, boxes = world.corner_lists
-    # the bounds box is convex, so endpoint containment covers the segment
-    for k in range(n):
-        if not (blo[k] <= av[k] <= bhi[k] and blo[k] <= bv[k] <= bhi[k]):
+    if len(av) != len(blo) or len(bv) != len(blo):
+        raise ValueError("dimensionality mismatch")
+    dv = []
+    sq = 0  # summed from int 0, left to right, as sum() does
+    for x, y, lo, hi in zip(av, bv, blo, bhi):
+        # the bounds box is convex, so endpoint containment covers the segment
+        if not (lo <= x <= hi and lo <= y <= hi):
             return False
+        d = y - x
+        dv.append(d)
+        sq += d * d
     if not boxes:
         return True
-    dv = [bv[k] - av[k] for k in range(n)]
-    length = math.sqrt(sum(d * d for d in dv))
-    steps = max(1, int(math.ceil(length / resolution)))
-    for lo, hi in boxes:
+    steps = max(1, int(math.ceil(math.sqrt(sq) / resolution)))
+    for axes, covered in boxes:
         # slab-clip the segment's parameter interval against the box, then
-        # test the discretized indices that can fall inside it
+        # test the discretized indices that can fall inside it; on a covered
+        # axis the clip is [<= 0, >= 1] even after rounding, so it is skipped
         t0, t1 = 0.0, 1.0
-        overlap = True
-        for k in range(n):
+        for k, lo, hi in axes:
             d = dv[k]
             if d == 0.0:
-                if av[k] < lo[k] or av[k] > hi[k]:
-                    overlap = False
+                if av[k] < lo or av[k] > hi:
                     break
             else:
-                ta = (lo[k] - av[k]) / d
-                tb = (hi[k] - av[k]) / d
+                ta = (lo - av[k]) / d
+                tb = (hi - av[k]) / d
                 if ta > tb:
                     ta, tb = tb, ta
                 if ta > t0:
@@ -409,22 +432,25 @@ def is_motion_valid(world: WorldModel, a: State, b: State, resolution: float) ->
                 if tb < t1:
                     t1 = tb
                 if t0 > t1:
-                    overlap = False
                     break
-        if not overlap:
-            continue
-        i_lo = max(0, int(math.floor(t0 * steps)) - 1)
-        i_hi = min(steps, int(math.ceil(t1 * steps)) + 1)
-        for i in range(i_lo, i_hi + 1):
-            t = i / steps
-            inside = True
-            for k in range(n):
-                p = av[k] + t * dv[k]
-                if p < lo[k] or p > hi[k]:
-                    inside = False
-                    break
-            if inside:
-                return False
+        else:
+            i_lo = max(0, int(math.floor(t0 * steps)) - 1)
+            i_hi = min(steps, int(math.ceil(t1 * steps)) + 1)
+            for i in range(i_lo, i_hi + 1):
+                t = i / steps
+                for k, lo, hi in axes:
+                    p = av[k] + t * dv[k]
+                    if p < lo or p > hi:
+                        break
+                else:
+                    # a rounded point can leave the bounds, and so a covered
+                    # axis, by an ulp: confirm the hit on those axes too
+                    for k, lo, hi in covered:
+                        p = av[k] + t * dv[k]
+                        if p < lo or p > hi:
+                            break
+                    else:
+                        return False
     return True
 
 

@@ -170,8 +170,7 @@ class SearchTree:
 
     def distances(self, x: State) -> np.ndarray:
         """Euclidean distance from x to every vertex."""
-        pts = self.positions
-        return np.sqrt(np.sum((pts - x) ** 2, axis=1))
+        return np.sqrt(((self.positions - x) ** 2).sum(axis=1))
 
     def add(self, state: State, parent: int, edge_cost: float) -> int:
         idx = len(self.states)
@@ -242,6 +241,21 @@ def _goal_distances(points: np.ndarray, goals: list[State]) -> np.ndarray:
         np.stack([np.sqrt(np.einsum("ij,ij->i", points - g, points - g)) for g in goals]),
         axis=0,
     )
+
+
+def _informed_set(problem: ProblemInstance, best_goal: int | None, c_best: float) -> InformedSet:
+    """The informed set with foci at the start and at the incumbent's goal, or
+    at the nearest goal before the first solution. Once the incumbent's goal is
+    reached in a straight line its set has no interior, and c_best can only
+    fall through a nearer goal: the nearest goal is then the focus. Callers
+    stop before c_best reaches c_min, so that set always has an interior."""
+    start = problem.start
+    nearest = min(problem.goals, key=lambda g: distance(start, g))
+    focus = nearest if best_goal is None else problem.goals[best_goal]
+    c_focus = distance(start, focus)
+    if c_best <= c_focus + _EPS:
+        focus, c_focus = nearest, distance(start, nearest)
+    return InformedSet(start, focus, c_best, c_focus)
 
 
 def _resolve_batch_config(config: PlannerConfig, n: int) -> BatchConfig:
@@ -340,11 +354,7 @@ class _AptRun:
 
     def sample(self, batch: int) -> None:
         """Draw batch informed samples into the pool with their validity."""
-        start = self.problem.start
-        focus = self.goals[self.best_goal] if self.best_goal is not None else min(
-            self.goals, key=lambda g: distance(start, g)
-        )
-        informed = InformedSet(start, focus, self.c_best, distance(start, focus))
+        informed = _informed_set(self.problem, self.best_goal, self.c_best)
         drawn = sample_batch(informed, self.world.bounds, self.rng, batch)
         self.counters["samples"] += batch
         self.pool = np.concatenate([self.pool, drawn])
@@ -542,8 +552,9 @@ def plan_batch_informed_trees(
     return plan_apt(problem, config, adaptive=False)
 
 
-def _steer(a: State, b: State, max_edge: float) -> State:
-    d = distance(a, b)
+def _steer(a: State, b: State, d: float, max_edge: float) -> State:
+    """b, or the point max_edge from a toward it; d is distance(a, b), which
+    callers already hold (a row of SearchTree.distances equals it bit for bit)."""
     if d <= max_edge:
         return b
     return a + (b - a) * (max_edge / d)
@@ -578,19 +589,23 @@ def plan_rrt_connect(problem: ProblemInstance, config: PlannerConfig) -> Planner
         counters["samples"] += 1
 
         ta, tb = trees
-        ia = int(np.argmin(ta.distances(x_rand)))
-        x_new = _steer(ta.states[ia], x_rand, max_edge)
+        d_a = ta.distances(x_rand)
+        ia = int(np.argmin(d_a))
+        x_new = _steer(ta.states[ia], x_rand, float(d_a[ia]), max_edge)
         if is_state_valid(world, x_new) and motion_ok(ta.states[ia], x_new):
             wa = ta.add(x_new, ia, _dist(ta.states[ia], x_new))
             # greedily connect the other tree toward x_new
-            current = int(np.argmin(tb.distances(x_new)))
+            d_b = tb.distances(x_new)
+            current = int(np.argmin(d_b))
+            d = float(d_b[current])
             reached = False
             while True:
-                x_step = _steer(tb.states[current], x_new, max_edge)
+                x_step = _steer(tb.states[current], x_new, d, max_edge)
                 if not (is_state_valid(world, x_step) and motion_ok(tb.states[current], x_step)):
                     break
                 current = tb.add(x_step, current, _dist(tb.states[current], x_step))
-                if distance(x_step, x_new) <= _EPS:
+                d = distance(x_step, x_new)
+                if d <= _EPS:
                     reached = True
                     break
             if reached:
@@ -657,10 +672,7 @@ def plan_informed_rrt_star(problem: ProblemInstance, config: PlannerConfig) -> P
         if c_best <= c_min + _EPS:
             break
         if informed is None and math.isfinite(c_best):
-            focus = goals[best_goal]
-            informed = InformedSet(
-                problem.start, focus, c_best, distance(problem.start, focus)
-            )
+            informed = _informed_set(problem, best_goal, c_best)
             informed_measure = lebesgue_measure(c_best, c_min, n)
 
         counters["samples"] += 1
@@ -671,11 +683,12 @@ def plan_informed_rrt_star(problem: ProblemInstance, config: PlannerConfig) -> P
         else:
             x_rand = sample_uniform(world.bounds, rng)
 
-        iv = int(np.argmin(tree.distances(x_rand)))
-        x_new = _steer(tree.states[iv], x_rand, max_edge)
+        d_rand = tree.distances(x_rand)
+        iv = int(np.argmin(d_rand))
+        x_new = _steer(tree.states[iv], x_rand, float(d_rand[iv]), max_edge)
         if not is_state_valid(world, x_new):
             continue
-        d_new = tree.distances(x_new)
+        d_new = d_rand if x_new is x_rand else tree.distances(x_new)
         if float(np.min(d_new)) <= _EPS:
             continue
 
@@ -685,27 +698,31 @@ def plan_informed_rrt_star(problem: ProblemInstance, config: PlannerConfig) -> P
             * rnn_radius(len(tree) + 1, n, informed_measure, bounds_measure, config.eta),
             max_edge,
         )
-        nbr_idx = np.flatnonzero(d_new <= radius).tolist()
-        if iv not in nbr_idx:
-            nbr_idx.append(iv)
-        d_list = d_new.tolist()
+        nbrs = np.flatnonzero(d_new <= radius)
+        if not d_new[iv] <= radius:
+            nbrs = np.append(nbrs, iv)
+        d_nb = d_new[nbrs]
         g = tree.g
+        g_nb = np.array(g)[nbrs]
 
         # cheapest cost-to-come first; indices are unique, so they break ties
         parent = -1
-        for _, i in sorted([(g[i] + d_list[i], i) for i in nbr_idx]):
+        for i in nbrs[np.lexsort((nbrs, g_nb + d_nb))].tolist():
             if motion_ok(tree.states[i], x_new):
                 parent = i
                 break
         if parent == -1:
             continue
-        w = tree.add(x_new, parent, d_list[parent])
+        w = tree.add(x_new, parent, float(d_new[parent]))
 
-        for i in nbr_idx:
-            if i == parent or i == 0:
-                continue
-            d = d_list[i]
-            if g[w] + d >= g[i] - _EPS:
+        # The prefilter reads g as it was before any rewiring; g only falls
+        # during the loop, so the loop tests again. g[w] stays fixed, since no
+        # ancestor of w is re-hung, and neither the parent nor the root can
+        # pass: both would need g[w] + d < g[i].
+        gw = g[w]
+        better = gw + d_nb < g_nb - _EPS
+        for i, d in zip(nbrs[better].tolist(), d_nb[better].tolist()):
+            if gw + d >= g[i] - _EPS:
                 continue
             if tree.is_ancestor(i, w):
                 continue

@@ -408,6 +408,221 @@ class TestMotionOracleEqualResolution:
         assert 0 < sum(got) < len(got)
 
 
+def reference_is_motion_valid(world, a, b, resolution):
+    """The segment check with the slab clip and the point test on every axis
+    of every box: the reference that is_motion_valid must equal exactly."""
+    if resolution <= 0.0:
+        raise ValueError("resolution must be positive")
+    av = np.asarray(a, dtype=float).tolist()
+    bv = np.asarray(b, dtype=float).tolist()
+    n = len(av)
+    blo, bhi = world.bounds.min_corner.tolist(), world.bounds.max_corner.tolist()
+    boxes = [(o.min_corner.tolist(), o.max_corner.tolist()) for o in world.obstacles]
+    # the bounds box is convex, so endpoint containment covers the segment
+    for k in range(n):
+        if not (blo[k] <= av[k] <= bhi[k] and blo[k] <= bv[k] <= bhi[k]):
+            return False
+    if not boxes:
+        return True
+    dv = [bv[k] - av[k] for k in range(n)]
+    length = math.sqrt(sum(d * d for d in dv))
+    steps = max(1, int(math.ceil(length / resolution)))
+    for lo, hi in boxes:
+        # slab-clip the segment's parameter interval against the box, then
+        # test the discretized indices that can fall inside it
+        t0, t1 = 0.0, 1.0
+        overlap = True
+        for k in range(n):
+            d = dv[k]
+            if d == 0.0:
+                if av[k] < lo[k] or av[k] > hi[k]:
+                    overlap = False
+                    break
+            else:
+                ta = (lo[k] - av[k]) / d
+                tb = (hi[k] - av[k]) / d
+                if ta > tb:
+                    ta, tb = tb, ta
+                if ta > t0:
+                    t0 = ta
+                if tb < t1:
+                    t1 = tb
+                if t0 > t1:
+                    overlap = False
+                    break
+        if not overlap:
+            continue
+        i_lo = max(0, int(math.floor(t0 * steps)) - 1)
+        i_hi = min(steps, int(math.ceil(t1 * steps)) + 1)
+        for i in range(i_lo, i_hi + 1):
+            t = i / steps
+            inside = True
+            for k in range(n):
+                p = av[k] + t * dv[k]
+                if p < lo[k] or p > hi[k]:
+                    inside = False
+                    break
+            if inside:
+                return False
+    return True
+
+
+def _face_edges(world, rng, count):
+    """Edges whose coordinates come from the bounds' and the boxes' faces
+    (each also nudged one ulp either way) mixed with random ones: endpoints
+    on the faces of the bounds, axes with dv[k] == 0, and edges along faces."""
+    n = world.dimension
+    lo, hi = world.bounds.min_corner, world.bounds.max_corner
+    faces = np.concatenate(
+        [lo, hi, *(c for o in world.obstacles for c in (o.min_corner, o.max_corner))]
+    )
+    faces = np.concatenate([np.nextafter(faces, -np.inf), faces, np.nextafter(faces, np.inf)])
+    edges = []
+    for _ in range(count):
+        a = rng.uniform(lo, hi)
+        b = rng.uniform(lo, hi)
+        pick = rng.random((2, n)) < 0.5
+        a[pick[0]] = faces[rng.integers(faces.size, size=int(pick[0].sum()))]
+        b[pick[1]] = faces[rng.integers(faces.size, size=int(pick[1].sum()))]
+        same = rng.random(n) < 0.25
+        b[same] = a[same]
+        edges.append((a, b))
+    return edges
+
+
+def _assert_matches_reference(world, edges, resolution):
+    got = [is_motion_valid(world, a, b, resolution) for a, b in edges]
+    want = [reference_is_motion_valid(world, a, b, resolution) for a, b in edges]
+    mismatches = [e for e, g, w in zip(edges, got, want) if g != w]
+    assert not mismatches, mismatches[:3]
+    return got
+
+
+class TestMotionCheckEqualsReference:
+    """is_motion_valid gives exactly the reference loop's answer."""
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            WorldSpec("dividing_wall", 2, seed=1),
+            WorldSpec("dividing_wall", 4, seed=1),
+            WorldSpec("dividing_wall", 8, seed=1),
+            WorldSpec("random_rectangles", 2, seed=1),
+            WorldSpec("random_rectangles", 4, seed=1, obstacle_count=60,
+                      width_range=(0.25, 0.45)),
+        ],
+        ids=lambda spec: spec.world_id,
+    )
+    def test_benchmark_families(self, spec):
+        world = make_world(spec)
+        rng = np.random.default_rng(31)
+        res = default_motion_resolution(world)
+        edges = _oracle_edges(world, rng, 600, 1.25) + _face_edges(world, rng, 600)
+        got = _assert_matches_reference(world, edges, res)
+        assert 0 < sum(got) < len(got)
+
+    @pytest.mark.parametrize("lo, hi", [(0.0, 1.0), (0.1, 0.9), (-1.3, 2.7)])
+    @pytest.mark.parametrize("n", [1, 2, 3, 5])
+    def test_boxes_touching_or_covering_the_bounds(self, n, lo, hi):
+        # On bounds such as [0.1, 0.9] the rounded end point a + (b - a) can
+        # leave the bounds by one ulp while b is on a face.
+        rng = np.random.default_rng(n)
+        w = hi - lo
+        wall_lo, wall_hi = np.full(n, lo), np.full(n, hi)
+        wall_lo[0], wall_hi[0] = lo + 0.45 * w, lo + 0.55 * w
+        corner_hi = np.full(n, hi)
+        corner_hi[-1] = lo + 0.3 * w
+        boxes = [
+            # spans the bounds on every axis but the first
+            HyperRectangle(wall_lo, wall_hi),
+            # touches the lower faces on every axis
+            HyperRectangle(np.full(n, lo), np.full(n, lo + 0.2 * w)),
+            # covers the bounds on every axis but the last, beyond them on some
+            HyperRectangle(np.full(n, lo - 1.0), corner_hi),
+            # inside, touching nothing
+            HyperRectangle(np.full(n, lo + 0.6 * w), np.full(n, lo + 0.7 * w)),
+        ]
+        world = WorldModel(HyperRectangle(np.full(n, lo), np.full(n, hi)), tuple(boxes))
+        edges = _face_edges(world, rng, 1500)
+        for resolution in (1e-3 * w, 0.37 * w, 10.0 * w):  # the last gives steps == 1
+            _assert_matches_reference(world, edges, resolution)
+
+    def test_box_covering_the_whole_bounds(self):
+        for bounds_lo, bounds_hi in ((0.0, 1.0), (0.1, 0.9)):
+            bounds = HyperRectangle([bounds_lo] * 3, [bounds_hi] * 3)
+            for cover in (bounds, HyperRectangle([-1.0] * 3, [2.0] * 3)):
+                world = WorldModel(bounds, (cover,))
+                edges = _face_edges(world, np.random.default_rng(5), 200)
+                assert not any(_assert_matches_reference(world, edges, 0.01))
+
+    def test_zero_length_and_single_step(self):
+        world = make_world(WorldSpec("dividing_wall", 4, seed=1))
+        rng = np.random.default_rng(8)
+        points = [e[0] for e in _face_edges(world, rng, 300)]
+        _assert_matches_reference(world, [(p, p.copy()) for p in points], 0.01)
+        edges = _face_edges(world, rng, 300)
+        _assert_matches_reference(world, edges, 100.0)
+
+    def test_end_point_rounded_off_a_covered_face(self):
+        # a + (b - a) rounds to 0.9000000000000001 on the axis the wall
+        # covers, so the reference's t = 1 point misses the wall there
+        world = WorldModel(
+            HyperRectangle([0.1, 0.1], [0.9, 0.9]),
+            (HyperRectangle([0.45, 0.1], [0.55, 0.9]),),
+        )
+        a = np.array([0.3618784962784357, 0.16934505849163423])
+        b = np.array([0.45, 0.9])
+        assert (a + (b - a))[1] > 0.9
+        assert is_motion_valid(world, a, b, 0.01) == reference_is_motion_valid(world, a, b, 0.01)
+
+    def test_point_inside_a_box(self):
+        world = unit_world(([0.45, 0.0], [0.55, 1.0]))
+        p = np.array([0.5, 0.5])
+        assert not is_motion_valid(world, p, p, 0.01)
+        assert is_motion_valid(world, np.array([0.2, 0.0]), np.array([0.2, 1.0]), 0.01)
+
+
+class TestMotionCheckDimensions:
+    @pytest.mark.parametrize(
+        "a, b",
+        [
+            ([0.1, 0.2], [0.3, 0.4, 0.5]),
+            ([0.1, 0.2, 0.5], [0.3, 0.4]),
+            ([0.1, 0.2, 0.5], [0.3, 0.4, 0.5]),
+            ([0.1], [0.3]),
+        ],
+    )
+    def test_mismatched_dimensions_raise(self, a, b):
+        for world in (unit_world(), unit_world(([0.4, 0.4], [0.6, 0.6]))):
+            with pytest.raises(ValueError, match="dimensionality"):
+                is_motion_valid(world, np.array(a), np.array(b), 0.01)
+
+
+class TestHyperRectangleContains:
+    box = HyperRectangle([0.0, -1.0, 2.0], [1.0, 1.0, 2.0])
+
+    def test_boundary_points_are_inside(self):
+        for x in ([0.0, -1.0, 2.0], [1.0, 1.0, 2.0], [0.0, 1.0, 2.0], [0.5, 0.0, 2.0]):
+            assert self.box.contains(np.array(x))
+
+    def test_points_outside(self):
+        for x in ([1.0000000000000002, 0.0, 2.0], [0.5, -1.5, 2.0], [0.5, 0.0, 2.1]):
+            assert not self.box.contains(np.array(x))
+
+    def test_nan_is_outside(self):
+        assert not self.box.contains(np.array([0.5, math.nan, 2.0]))
+        assert not self.box.contains(np.array([math.nan] * 3))
+
+    def test_lists_and_tuples_accepted(self):
+        assert self.box.contains([0.5, 0, 2])
+        assert not self.box.contains((1.5, 0.0, 2.0))
+
+    @pytest.mark.parametrize("x", [[0.5, 0.0], [0.5, 0.0, 2.0, 0.0], [0.5], [[0.5, 0.0, 2.0]]])
+    def test_wrong_length_raises(self, x):
+        with pytest.raises(ValueError):
+            self.box.contains(np.array(x))
+
+
 class TestOrthonormalBasis:
     def test_axis_aligned(self):
         assert np.array_equal(orthonormal_basis(np.array([1.0, 0.0, 0.0])), np.eye(3))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from aptstar.cli import main
-from aptstar.geometry import HyperRectangle, ProblemInstance, WorldModel
+from aptstar.geometry import HyperRectangle, ProblemInstance, WorldModel, distance
 from aptstar.planner import (
     PLANNERS,
     PlannerConfig,
@@ -165,6 +165,17 @@ class TestSearchTree:
         want = np.linalg.norm(np.array(tree.states) - x, axis=1)
         assert np.max(np.abs(tree.distances(x) - want)) < 1e-12
 
+    @pytest.mark.parametrize("n", range(1, 17))
+    def test_row_distances_equal_distance_bit_for_bit(self, n):
+        # the RRT planners steer with a row of distances() in place of distance()
+        rng = np.random.default_rng(n)
+        tree = SearchTree(rng.uniform(0, 1, n))
+        for _ in range(40):
+            tree.add(rng.uniform(-3, 3, n) * rng.choice([1e-3, 1.0, 1e3]), 0, 1.0)
+        for _ in range(5):
+            x = rng.uniform(0, 1, n)
+            assert tree.distances(x).tolist() == [distance(s, x) for s in tree.states]
+
     def test_disconnected_goal_rejected(self):
         tree = SearchTree(np.zeros(2))
         with pytest.raises(ValueError):
@@ -322,6 +333,49 @@ class TestInformedRrtStar:
         )
         costs = [c for _, c in run.events]
         assert all(b < a for a, b in zip(costs, costs[1:]))
+
+
+class TestMultiGoalInformedSet:
+    """Once the incumbent's goal is reached in a straight line, or by a path
+    whose summed cost rounds below that line, its informed set has no
+    interior; a nearer goal can still lower the cost, so planning goes on."""
+
+    # the far goal is in plain sight of the start, the near one behind a wall
+    WALL2 = ProblemInstance(
+        make_world(([0.2, 0.2], [0.3, 0.8])), [0.1, 0.5], ([0.1, 0.9], [0.4, 0.5])
+    )
+    # in 1-D every path is straight
+    LINE1 = ProblemInstance(
+        WorldModel(HyperRectangle([0.0], [1.0]), (HyperRectangle([0.36], [0.74]),)),
+        [0.0],
+        ([0.09], [0.27]),
+    )
+    # an empty world: a two-edge path to the far goal sums below its distance
+    OPEN4 = ProblemInstance(
+        WorldModel(HyperRectangle([0.0] * 4, [1.0] * 4)),
+        [0.7845822109817221, 1.0, 0.6862689176861808, 0.7322625609228085],
+        (
+            [0.5940727124966699, 0.6105506387346894, 0.9165420505570774, 0.738817174285074],
+            [0.9744748566188305, 0.688389675725899, 0.5848087428374977, 0.2739643248027279],
+        ),
+    )
+
+    @pytest.mark.parametrize(
+        "problem, planner, budget, seed",
+        [
+            (WALL2, "apt", 2, 0),
+            (WALL2, "bit", 2, 0),
+            (LINE1, "informed_rrt_star", 150, 0),
+            (OPEN4, "informed_rrt_star", 150, 150),
+        ],
+        ids=["wall2-apt", "wall2-bit", "line1-irrt", "open4-irrt"],
+    )
+    def test_planning_goes_on(self, problem, planner, budget, seed):
+        run = PLANNERS[planner](problem, PlannerConfig(max_iterations=budget, rng_seed=seed))
+        assert run.success
+        costs = [c for _, c in run.events]
+        assert all(b < a for a, b in zip(costs, costs[1:]))
+        assert run.c_final >= problem.c_min - 1e-12
 
 
 class TestRegistry:

@@ -88,48 +88,28 @@ class WorldModel:
                 raise ValueError("obstacle dimensionality mismatch")
             if not obs.intersects(self.bounds):
                 raise ValueError("obstacle does not intersect bounds")
+        # stacked (mins, maxs) obstacle corners for the array state checks
+        n = self.dimension
+        mins = np.array([o.min_corner for o in self.obstacles], dtype=float).reshape(-1, n)
+        maxs = np.array([o.max_corner for o in self.obstacles], dtype=float).reshape(-1, n)
+        object.__setattr__(self, "obstacle_corners", (mins, maxs))
+        # Python floats for the scalar segment check: the bounds (lo, hi), and
+        # per obstacle two lists of (axis, lo, hi): the axes on which the box
+        # does not cover the bounds, then those on which it does. A segment
+        # inside the bounds is inside the box on every axis that the box
+        # covers, so only the first list can separate them.
+        blo, bhi = self.bounds.min_corner.tolist(), self.bounds.max_corner.tolist()
+        boxes = []
+        for o in self.obstacles:
+            cut, covered = [], []
+            for k, lo, hi in zip(range(n), o.min_corner.tolist(), o.max_corner.tolist()):
+                (cut if lo > blo[k] or hi < bhi[k] else covered).append((k, lo, hi))
+            boxes.append((cut, covered))
+        object.__setattr__(self, "corner_lists", (blo, bhi, boxes))
 
     @property
     def dimension(self) -> int:
         return self.bounds.dimension
-
-    @property
-    def obstacle_corners(self) -> tuple[np.ndarray, np.ndarray]:
-        """Stacked (mins, maxs) obstacle corner matrices, built lazily."""
-        cached = getattr(self, "_corners", None)
-        if cached is None:
-            if self.obstacles:
-                mins = np.array([o.min_corner for o in self.obstacles])
-                maxs = np.array([o.max_corner for o in self.obstacles])
-            else:
-                mins = np.empty((0, self.dimension))
-                maxs = np.empty((0, self.dimension))
-            cached = (mins, maxs)
-            object.__setattr__(self, "_corners", cached)
-        return cached
-
-    @property
-    def corner_lists(self) -> tuple[list, list, list[tuple[list, list]]]:
-        """Python float lists for the scalar segment check, built lazily.
-
-        The bounds (lo, hi), and per obstacle two lists of (axis, lo, hi): the
-        axes on which the box does not cover the bounds, then those on which
-        it does. A segment inside the bounds is inside the box on every axis
-        that the box covers, so only the first list can separate them.
-        """
-        cached = getattr(self, "_corner_lists", None)
-        if cached is None:
-            blo, bhi = self.bounds.min_corner.tolist(), self.bounds.max_corner.tolist()
-            boxes = []
-            for o in self.obstacles:
-                axes = zip(range(len(blo)), o.min_corner.tolist(), o.max_corner.tolist())
-                cut, covered = [], []
-                for k, lo, hi in axes:
-                    (cut if lo > blo[k] or hi < bhi[k] else covered).append((k, lo, hi))
-                boxes.append((cut, covered))
-            cached = (blo, bhi, boxes)
-            object.__setattr__(self, "_corner_lists", cached)
-        return cached
 
 
 @dataclass(frozen=True)
@@ -436,6 +416,15 @@ def is_motion_valid(world: WorldModel, a: State, b: State, resolution: float) ->
         else:
             i_lo = max(0, int(math.floor(t0 * steps)) - 1)
             i_hi = min(steps, int(math.ceil(t1 * steps)) + 1)
+            # the t = 1 point a + (b - a) can round off a face that b lies
+            # on, so b itself is tested; b is inside the bounds, and so on
+            # every covered axis
+            if i_hi == steps:
+                for k, lo, hi in axes:
+                    if bv[k] < lo or bv[k] > hi:
+                        break
+                else:
+                    return False
             for i in range(i_lo, i_hi + 1):
                 t = i / steps
                 for k, lo, hi in axes:

@@ -1,10 +1,12 @@
 """Anytime planners: the adaptive prolated batch planner and three baselines.
 
-All planners share the PlannerConfig / PlannerRun contract. Runs are
-single-threaded and fully deterministic under an iteration budget: event
-timestamps are then the batch (or sample-iteration) index, so identical
-seeds reproduce bit-identical event logs. Under a wall-clock budget,
-timestamps come from a monotonic clock.
+All planners share the PlannerConfig / PlannerRun contract, and each run
+sits on one ``_Run``: the seeded RNG, the motion resolution, the work
+counters, the budget clock, the start tree and the incumbent solution.
+Runs are single-threaded and fully deterministic under an iteration budget:
+event timestamps are then the batch (or sample-iteration) index, so
+identical seeds reproduce bit-identical event logs. Under a wall-clock
+budget, timestamps are seconds on a monotonic clock since the run began.
 """
 from __future__ import annotations
 
@@ -12,6 +14,7 @@ import heapq
 import itertools
 import math
 import time
+from collections.abc import Iterator
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -100,14 +103,6 @@ class PlannerRun:
     counters: dict[str, int] = field(default_factory=dict)
 
     @property
-    def initial(self) -> tuple[float, float] | None:
-        return self.events[0] if self.events else None
-
-    @property
-    def final(self) -> tuple[float, float] | None:
-        return self.events[-1] if self.events else None
-
-    @property
     def t_init(self) -> float:
         return self.events[0][0] if self.events else math.inf
 
@@ -122,23 +117,6 @@ class PlannerRun:
     @property
     def c_final(self) -> float:
         return self.events[-1][1] if self.events else math.inf
-
-
-class _Clock:
-    """Monotonic wall clock, or a deterministic iteration counter."""
-
-    def __init__(self, wall: bool):
-        self.wall = wall
-        self._t0 = time.perf_counter()
-        self._iteration = 0.0
-
-    def tick(self, iteration: int) -> None:
-        self._iteration = float(iteration)
-
-    def now(self) -> float:
-        if self.wall:
-            return time.perf_counter() - self._t0
-        return self._iteration
 
 
 class SearchTree:
@@ -258,15 +236,71 @@ def _informed_set(problem: ProblemInstance, best_goal: int | None, c_best: float
     return InformedSet(start, focus, c_best, c_focus)
 
 
-def _resolve_batch_config(config: PlannerConfig, n: int) -> BatchConfig:
-    if config.batch is not None:
-        return config.batch if config.batch.n_dim == n else replace(config.batch, n_dim=n)
-    return BatchConfig(n_dim=n)
+class _Run:
+    """What every planner run holds: the problem, the seeded RNG, the motion
+    resolution, the work counters, the budget clock, the start tree and the
+    incumbent solution (the connected goal vertices and the cheapest of them).
+
+    Under an iteration budget the clock reads the index of the current
+    iteration, so event logs are reproducible; under a time budget it reads
+    wall seconds since the run began.
+    """
+
+    def __init__(self, problem: ProblemInstance, config: PlannerConfig, *counters: str):
+        self.problem = problem
+        self.config = config
+        self.world = problem.world
+        self.rng = np.random.default_rng(config.rng_seed)
+        self._t0 = time.perf_counter()
+        self._iteration = 0.0
+        self.resolution = config.motion_resolution or default_motion_resolution(self.world)
+        self.counters = dict.fromkeys(("samples", "collision_checks", *counters), 0)
+        self.events: list[tuple[float, float]] = []
+        self.tree = SearchTree(problem.start)
+        self.goal_vertex: dict[int, int] = {}
+        self.c_best = math.inf
+        self.best_goal: int | None = None
+
+    def now(self) -> float:
+        if self.config.max_time is None:
+            return self._iteration
+        return time.perf_counter() - self._t0
+
+    def out_of_time(self) -> bool:
+        return self.config.max_time is not None and self.now() >= self.config.max_time
+
+    def iterations(self) -> Iterator[int]:
+        """Iteration indices until max_iterations or max_time is spent."""
+        limit = self.config.max_iterations
+        for i in itertools.count() if limit is None else range(limit):
+            self._iteration = float(i)
+            if self.out_of_time():
+                return
+            yield i
+
+    def motion_ok(self, a: State, b: State) -> bool:
+        self.counters["collision_checks"] += 1
+        return is_motion_valid(self.world, a, b, self.resolution)
+
+    def record_improvement(self) -> None:
+        """Take each connected goal that beats the incumbent, with an event."""
+        for gi, v in self.goal_vertex.items():
+            if self.tree.g[v] < self.c_best - _EPS:
+                self.c_best = self.tree.g[v]
+                self.best_goal = gi
+                self.events.append((self.now(), self.c_best))
+
+    def finish(self, planner: str) -> PlannerRun:
+        run = PlannerRun(planner, self.events, counters=self.counters)
+        if self.best_goal is not None:
+            run.success = True
+            run.path = extract_path(self.tree, self.goal_vertex[self.best_goal])
+        return run
 
 
-class _AptRun:
-    """One plan_apt run: the tree, the sample pool and the incumbent solution,
-    with the phases of a batch as methods.
+class _AptRun(_Run):
+    """One plan_apt run: the sample pool and the search state on top of
+    ``_Run``, with the phases of a batch as methods.
 
     The pool is one (m, n) position array with a bool validity array beside
     it. ``sample`` appends a batch of informed draws to it, ``search`` grows
@@ -276,23 +310,11 @@ class _AptRun:
     """
 
     def __init__(self, problem: ProblemInstance, config: PlannerConfig):
-        self.problem = problem
-        self.config = config
-        self.world = problem.world
-        self.goals = list(problem.goals)
-        self.rng = np.random.default_rng(config.rng_seed)
-        self.clock = _Clock(wall=config.max_time is not None)
-        self.resolution = config.motion_resolution or default_motion_resolution(self.world)
-        keys = ("samples", "collision_checks", "neighbor_queries", "shrink_rounds", "batches")
-        self.counters = dict.fromkeys(keys, 0)
+        super().__init__(problem, config, "neighbor_queries", "shrink_rounds", "batches")
+        self.goals = problem.goals
         self.nn_stats: dict[str, int] = {}
-        self.events: list[tuple[float, float]] = []
-        self.tree = SearchTree(problem.start)
         # each vertex's goal distance, stored once for its heap keys
         self.h_tree = [self.h(problem.start)]
-        self.goal_vertex: dict[int, int] = {}
-        self.c_best = math.inf
-        self.best_goal: int | None = None
         self.pool = np.empty((0, self.world.dimension))
         self.pool_valid = np.zeros(0, dtype=bool)
         # set by each search: the pool's goal distances and its connected members
@@ -303,9 +325,6 @@ class _AptRun:
         # Edge validity is immutable for a static world, and rewiring retries
         # the same candidate edges across batches; memoize per (a, b) pair.
         self.motion_memo: dict[tuple[bytes, bytes], bool] = {}
-
-    def out_of_time(self) -> bool:
-        return self.config.max_time is not None and self.clock.now() >= self.config.max_time
 
     def h(self, x: State) -> float:
         return min(_dist(x, g) for g in self.goals)
@@ -318,20 +337,12 @@ class _AptRun:
     def motion_ok(self, a: State, b: State) -> bool:
         key = (a.tobytes(), b.tobytes())
         if key not in self.motion_memo:
-            self.counters["collision_checks"] += 1
-            self.motion_memo[key] = is_motion_valid(self.world, a, b, self.resolution)
+            self.motion_memo[key] = super().motion_ok(a, b)
         return self.motion_memo[key]
 
     def push(self, v: int) -> None:
         key = self.tree.g[v] + self.h_tree[v]
         heapq.heappush(self.heap, (key, next(self.counter), v))
-
-    def record_improvement(self) -> None:
-        for gi, v in self.goal_vertex.items():
-            if self.tree.g[v] < self.c_best - _EPS:
-                self.c_best = self.tree.g[v]
-                self.best_goal = gi
-                self.events.append((self.clock.now(), self.c_best))
 
     def try_goal(self, v: int) -> None:
         tree = self.tree
@@ -512,36 +523,30 @@ def plan_apt(
     so every region is the r-ball: the fixed-batch isotropic ablation.
     """
     n = problem.world.dimension
-    batch_cfg = _resolve_batch_config(config, n)
+    batch_cfg = replace(config.batch or BatchConfig(), n_dim=n)
     batch_state = BatchState()
-    state = _AptRun(problem, config)
-    max_batches = config.max_iterations if config.max_iterations is not None else 10**9
+    run = _AptRun(problem, config)
 
-    state.try_goal(0)
-    for batch_index in range(max_batches):
-        state.clock.tick(batch_index)
-        if state.out_of_time() or state.c_best <= problem.c_min + _EPS:
+    run.try_goal(0)
+    for _ in run.iterations():
+        if run.c_best <= problem.c_min + _EPS:
             break
-        if math.isfinite(state.c_best) and adaptive:
+        if math.isfinite(run.c_best) and adaptive:
             batch = adapt_batch_size(
-                batch_state.c_last, state.c_best, problem.c_min, n, batch_cfg, batch_state
+                batch_state.c_last, run.c_best, problem.c_min, n, batch_cfg, batch_state
             )
         else:
             batch = batch_cfg.m_default
         charge = vertex_charge(batch, config.charge, batch_cfg) if adaptive else 0.0
-        state.counters["batches"] += 1
-        state.sample(batch)
-        finished = state.search(batch, charge)
-        state.prune()
+        run.counters["batches"] += 1
+        run.sample(batch)
+        finished = run.search(batch, charge)
+        run.prune()
         if not finished:
             break
 
-    state.counters["shrink_rounds"] = state.nn_stats.get("shrink_rounds", 0)
-    run = PlannerRun("apt" if adaptive else "bit", state.events, counters=state.counters)
-    if state.best_goal is not None:
-        run.success = True
-        run.path = extract_path(state.tree, state.goal_vertex[state.best_goal])
-    return run
+    run.counters["shrink_rounds"] = run.nn_stats.get("shrink_rounds", 0)
+    return run.finish("apt" if adaptive else "bit")
 
 
 def plan_batch_informed_trees(
@@ -562,30 +567,19 @@ def _steer(a: State, b: State, d: float, max_edge: float) -> State:
 
 def plan_rrt_connect(problem: ProblemInstance, config: PlannerConfig) -> PlannerRun:
     """Bidirectional feasible planner; the first solution is final."""
-    world = problem.world
-    n = world.dimension
-    rng = np.random.default_rng(config.rng_seed)
-    clock = _Clock(wall=config.max_time is not None)
-    resolution = config.motion_resolution or default_motion_resolution(world)
-    max_edge = config.max_edge_length or default_edge_length(n)
-    run = PlannerRun(planner="rrt_connect")
-    counters = {"samples": 0, "collision_checks": 0}
+    run = _Run(problem, config)
+    world, counters = run.world, run.counters
+    max_edge = config.max_edge_length or default_edge_length(world.dimension)
+    motion_ok = run.motion_ok
 
     goal = min(problem.goals, key=lambda g: distance(problem.start, g))
     # the first tree grows from the start side
-    trees = [SearchTree(problem.start), SearchTree(goal)]
+    trees = [run.tree, SearchTree(goal)]
     a_is_start = True
+    path = None
 
-    def motion_ok(a, b):
-        counters["collision_checks"] += 1
-        return is_motion_valid(world, a, b, resolution)
-
-    max_iters = config.max_iterations if config.max_iterations is not None else 10**9
-    for it in range(max_iters):
-        clock.tick(it)
-        if config.max_time is not None and clock.now() >= config.max_time:
-            break
-        x_rand = sample_uniform(world.bounds, rng)
+    for _ in run.iterations():
+        x_rand = sample_uniform(world.bounds, run.rng)
         counters["samples"] += 1
 
         ta, tb = trees
@@ -616,63 +610,39 @@ def plan_rrt_connect(problem: ProblemInstance, config: PlannerConfig) -> Planner
                 else:
                     path = pb + pa[::-1][1:]
                 cost = sum(distance(p, q) for p, q in zip(path, path[1:]))
-                run.events.append((clock.now(), cost))
-                run.success = True
-                run.path = path
+                run.events.append((run.now(), cost))
                 break
         trees = [tb, ta]
         a_is_start = not a_is_start
 
-    run.counters = counters
-    return run
+    return PlannerRun(
+        "rrt_connect", run.events, success=path is not None, path=path, counters=counters
+    )
 
 
 def plan_informed_rrt_star(problem: ProblemInstance, config: PlannerConfig) -> PlannerRun:
     """RRT* with isotropic RGG-radius neighbors and informed sampling after
     the first solution; records anytime improvement events."""
-    world = problem.world
+    run = _Run(problem, config, "neighbor_queries")
+    world, tree, counters, rng = run.world, run.tree, run.counters, run.rng
     n = world.dimension
-    rng = np.random.default_rng(config.rng_seed)
-    clock = _Clock(wall=config.max_time is not None)
-    resolution = config.motion_resolution or default_motion_resolution(world)
     max_edge = config.max_edge_length or default_edge_length(n)
     bounds_measure = world.bounds.volume
-    goals = list(problem.goals)
+    goals = problem.goals
     c_min = problem.c_min
-    run = PlannerRun(planner="informed_rrt_star")
-    counters = {"samples": 0, "collision_checks": 0, "neighbor_queries": 0}
-
-    tree = SearchTree(problem.start)
-    goal_vertex: dict[int, int] = {}
-    c_best = math.inf
-    best_goal: int | None = None
-    # the informed set and its measure depend only on c_best and best_goal;
-    # an improvement clears the set and the next iteration rebuilds both
+    goal_vertex = run.goal_vertex
+    motion_ok = run.motion_ok
+    # the informed set and its measure depend only on c_best and best_goal,
+    # which change together: both are rebuilt once c_best has fallen
     informed: InformedSet | None = None
     informed_measure = math.inf
 
-    def motion_ok(a, b):
-        counters["collision_checks"] += 1
-        return is_motion_valid(world, a, b, resolution)
-
-    def record_improvement():
-        nonlocal c_best, best_goal, informed
-        for gi, v in goal_vertex.items():
-            if tree.g[v] < c_best - _EPS:
-                c_best = tree.g[v]
-                best_goal = gi
-                informed = None
-                run.events.append((clock.now(), c_best))
-
-    max_iters = config.max_iterations if config.max_iterations is not None else 10**9
-    for it in range(max_iters):
-        clock.tick(it)
-        if config.max_time is not None and clock.now() >= config.max_time:
-            break
+    for _ in run.iterations():
+        c_best = run.c_best
         if c_best <= c_min + _EPS:
             break
-        if informed is None and math.isfinite(c_best):
-            informed = _informed_set(problem, best_goal, c_best)
+        if math.isfinite(c_best) and (informed is None or informed.c_current != c_best):
+            informed = _informed_set(problem, run.best_goal, c_best)
             informed_measure = lebesgue_measure(c_best, c_min, n)
 
         counters["samples"] += 1
@@ -728,15 +698,17 @@ def plan_informed_rrt_star(problem: ProblemInstance, config: PlannerConfig) -> P
                 continue
             if motion_ok(x_new, tree.states[i]):
                 tree.reparent(i, w, d)
-        record_improvement()
+        run.record_improvement()
 
+        # every goal is tried before the incumbent is updated, unlike apt's
+        # try_goal, which records after each goal
         for gi, gstate in enumerate(goals):
             d = distance(x_new, gstate)
             if d <= 0.0 or d > max_edge:
                 continue
             g_new = g[w] + d
             existing = goal_vertex.get(gi)
-            bound = c_best if existing is None else min(c_best, g[existing])
+            bound = run.c_best if existing is None else min(run.c_best, g[existing])
             if g_new >= bound - _EPS:
                 continue
             if motion_ok(x_new, gstate):
@@ -744,13 +716,9 @@ def plan_informed_rrt_star(problem: ProblemInstance, config: PlannerConfig) -> P
                     goal_vertex[gi] = tree.add(gstate, w, d)
                 else:
                     tree.reparent(existing, w, d)
-        record_improvement()
+        run.record_improvement()
 
-    run.counters = counters
-    if best_goal is not None:
-        run.success = True
-        run.path = extract_path(tree, goal_vertex[best_goal])
-    return run
+    return run.finish("informed_rrt_star")
 
 
 PLANNERS = {

@@ -491,8 +491,13 @@ def _face_edges(world, rng, count):
 
 
 def _assert_matches_reference(world, edges, resolution):
+    # the reference can miss an end point b on a face (see
+    # test_end_point_rounded_off_a_covered_face); is_motion_valid tests b
     got = [is_motion_valid(world, a, b, resolution) for a, b in edges]
-    want = [reference_is_motion_valid(world, a, b, resolution) for a, b in edges]
+    want = [
+        reference_is_motion_valid(world, a, b, resolution) and is_state_valid(world, b)
+        for a, b in edges
+    ]
     mismatches = [e for e, g, w in zip(edges, got, want) if g != w]
     assert not mismatches, mismatches[:3]
     return got
@@ -573,7 +578,17 @@ class TestMotionCheckEqualsReference:
         a = np.array([0.3618784962784357, 0.16934505849163423])
         b = np.array([0.45, 0.9])
         assert (a + (b - a))[1] > 0.9
-        assert is_motion_valid(world, a, b, 0.01) == reference_is_motion_valid(world, a, b, 0.01)
+        assert not is_state_valid(world, b)
+        assert reference_is_motion_valid(world, a, b, 0.01)
+        assert not is_motion_valid(world, a, b, 0.01)
+
+    def test_end_point_rounded_off_a_cut_face_in_one_step(self):
+        # 1.0 + (0.3 - 1.0) is 0.30000000000000004, above the box's face
+        world = WorldModel(HyperRectangle([0.0], [1.0]), (HyperRectangle([-1.0], [0.3]),))
+        a, b = np.array([1.0]), np.array([0.3])
+        assert (a + (b - a))[0] > 0.3
+        assert reference_is_motion_valid(world, a, b, 10.0)
+        assert not is_motion_valid(world, a, b, 10.0)
 
     def test_point_inside_a_box(self):
         world = unit_world(([0.45, 0.0], [0.55, 1.0]))

@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -376,6 +377,39 @@ class TestMultiGoalInformedSet:
         costs = [c for _, c in run.events]
         assert all(b < a for a, b in zip(costs, costs[1:]))
         assert run.c_final >= problem.c_min - 1e-12
+
+
+class TestWallClockBudget:
+    """Every planner stops on max_time, and its event times are wall seconds."""
+
+    @pytest.mark.parametrize("planner", sorted(PLANNERS))
+    def test_zero_time_draws_nothing(self, planner):
+        for world in (EMPTY, DW_OFFSET):
+            run = PLANNERS[planner](make_problem(world), PlannerConfig(max_time=0.0))
+            assert run.counters["samples"] == 0
+            assert run.counters.get("batches", 0) == 0
+            assert run.counters.get("neighbor_queries", 0) == 0
+            # only apt's and bit's goal test before the first batch can succeed
+            if planner in ("apt", "bit") and world is EMPTY:
+                assert run.success and len(run.events) == 1
+                assert run.c_final == pytest.approx(0.9)
+            else:
+                assert not run.success and run.events == []
+
+    @pytest.mark.parametrize("planner", sorted(PLANNERS))
+    def test_event_times_are_wall_seconds(self, planner):
+        # no iteration budget: only the clock stops the run
+        t0 = time.perf_counter()
+        run = PLANNERS[planner](
+            make_problem(DW_OFFSET), PlannerConfig(max_time=0.25, max_iterations=None)
+        )
+        elapsed = time.perf_counter() - t0
+        assert run.success
+        times = [t for t, _ in run.events]
+        assert 0.0 <= times[0]
+        assert all(a <= b for a, b in zip(times, times[1:]))
+        assert times[-1] <= elapsed
+        assert run.counters["samples"] > 0
 
 
 class TestRegistry:

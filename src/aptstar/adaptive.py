@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .geometry import lebesgue_measure
+from .geometry import is_int, lebesgue_measure
 
 SCHEDULES = (
     "tanh_closed",
@@ -36,6 +36,8 @@ class BatchConfig:
     n_dim: int = 2
 
     def __post_init__(self):
+        if not (is_int(self.m_min) and is_int(self.m_max)):
+            raise ValueError("m_min and m_max must be integers")
         if self.m_min < 1 or self.m_min >= self.m_max:
             raise ValueError("need 1 <= m_min < m_max")
         if self.n_dim < 1:
@@ -71,10 +73,14 @@ class ChargeConfig:
     schedule: str = "tanh_closed"
 
     def __post_init__(self):
-        if not 0.0 <= self.q_min < self.q_max:
-            raise ValueError("need 0 <= q_min < q_max")
-        if self.alpha < 1:
-            raise ValueError("alpha must be at least 1")
+        # "not x < inf" also rejects NaN
+        if not 0.0 <= self.q_min < self.q_max < math.inf:
+            raise ValueError("need 0 <= q_min < q_max, q_max finite")
+        for name in ("epsilon", "beta"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
+        if not is_int(self.alpha) or self.alpha < 1:
+            raise ValueError("alpha must be an integer of at least 1")
         if self.schedule not in SCHEDULES:
             raise ValueError(f"unknown schedule {self.schedule!r}")
 

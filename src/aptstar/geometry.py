@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,6 +24,12 @@ def as_state(coords) -> State:
     if not np.all(np.isfinite(x)):
         raise ValueError("state coordinates must be finite")
     return x
+
+
+def is_int(value) -> bool:
+    """Is value an integer of any integer type other than bool? For config
+    checks: a float count would fail later, where it is used."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -41,14 +48,14 @@ class HyperRectangle:
         object.__setattr__(
             self, "_corner_lists", (self.min_corner.tolist(), self.max_corner.tolist())
         )
+        # every uniform draw scales by the widths, so they are built once
+        widths = self.max_corner - self.min_corner
+        widths.flags.writeable = False
+        object.__setattr__(self, "widths", widths)
 
     @property
     def dimension(self) -> int:
         return self.min_corner.size
-
-    @property
-    def widths(self) -> np.ndarray:
-        return self.max_corner - self.min_corner
 
     @property
     def diagonal(self) -> float:
@@ -88,16 +95,17 @@ class WorldModel:
                 raise ValueError("obstacle dimensionality mismatch")
             if not obs.intersects(self.bounds):
                 raise ValueError("obstacle does not intersect bounds")
-        # stacked (mins, maxs) obstacle corners for the array state checks
+        # stacked (mins, maxs) obstacle corners for states_valid
         n = self.dimension
         mins = np.array([o.min_corner for o in self.obstacles], dtype=float).reshape(-1, n)
         maxs = np.array([o.max_corner for o in self.obstacles], dtype=float).reshape(-1, n)
         object.__setattr__(self, "obstacle_corners", (mins, maxs))
-        # Python floats for the scalar segment check: the bounds (lo, hi), and
-        # per obstacle two lists of (axis, lo, hi): the axes on which the box
-        # does not cover the bounds, then those on which it does. A segment
-        # inside the bounds is inside the box on every axis that the box
-        # covers, so only the first list can separate them.
+        # Python floats for the scalar state and segment checks: the bounds
+        # (lo, hi), and per obstacle two lists of (axis, lo, hi): the axes on
+        # which the box does not cover the bounds, then those on which it
+        # does. A point or segment inside the bounds is inside the box on
+        # every axis that the box covers, so only the first list can
+        # separate them.
         blo, bhi = self.bounds.min_corner.tolist(), self.bounds.max_corner.tolist()
         boxes = []
         for o in self.obstacles:
@@ -345,13 +353,28 @@ def sample_batch(
 
 
 def is_state_valid(world: WorldModel, x: State) -> bool:
-    """True iff x lies inside the bounds and inside no (closed) obstacle."""
-    if not world.bounds.contains(x):
-        return False
-    if not world.obstacles:
-        return True
-    mins, maxs = world.obstacle_corners
-    return not ((x >= mins) & (x <= maxs)).all(axis=1).any()
+    """True iff x lies inside the bounds and inside no (closed) obstacle.
+
+    Python floats throughout, on the lists is_motion_valid reads: once x is
+    inside the bounds it is inside every box on the axes that box covers, so
+    only the box's other axes are tested. Every comparison is exact, and NaN
+    fails the bounds test.
+    """
+    xs = np.asarray(x, dtype=float)
+    blo, bhi, boxes = world.corner_lists
+    if xs.shape != (len(blo),):
+        raise ValueError("dimensionality mismatch")
+    xs = xs.tolist()
+    for lo, v, hi in zip(blo, xs, bhi):
+        if not lo <= v <= hi:
+            return False
+    for axes, _ in boxes:
+        for k, lo, hi in axes:
+            if xs[k] < lo or xs[k] > hi:
+                break
+        else:
+            return False
+    return True
 
 
 def states_valid(world: WorldModel, points: np.ndarray) -> np.ndarray:

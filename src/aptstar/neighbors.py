@@ -17,7 +17,7 @@ from scipy.spatial import cKDTree
 
 # no query builds a frame; orthonormal_basis stays importable from here because
 # perfbench/layers.py times its "geometry.frame" layer under this name
-from .geometry import State, orthonormal_basis, unit_ball_volume  # noqa: F401
+from .geometry import State, is_int, orthonormal_basis, unit_ball_volume  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -44,8 +44,8 @@ class NeighborConfig:
             raise ValueError("min_pair_distance must be positive")
         if not self.max_prolongation >= 1.0:
             raise ValueError("max_prolongation must be at least 1")
-        if not self.max_shrink_rounds >= 1:
-            raise ValueError("max_shrink_rounds must be positive")
+        if not (is_int(self.max_shrink_rounds) and self.max_shrink_rounds >= 1):
+            raise ValueError("max_shrink_rounds must be a positive integer")
 
 
 @dataclass(frozen=True)
@@ -223,61 +223,85 @@ def elliptical_nn_query(
     phi = 1.0
     rounds = 0
     while phi >= config.phi_threshold and rounds < config.max_shrink_rounds:
+        if step is None:
+            step = np.where(valid_flags, weight, -weight) @ diff
+        if final:
+            # phi can no longer change, so this round is the last if it ends
+            # the loop, or if the charge is zero and the force stays zero;
+            # else every round to the cap runs. Each adds step, as a
+            # membership round does, in the same order.
+            phi = n_invalid / n_total
+            stop = phi < config.phi_threshold or ke_q2 == 0.0
+            last = rounds + 1 if stop else config.max_shrink_rounds
+            if stats is not None:
+                stats["shrink_rounds"] = stats.get("shrink_rounds", 0) + last - rounds
+            for rounds in range(rounds + 1, last + 1):
+                force = force + step
+                if trace is not None:
+                    fnorm = math.sqrt(float(force @ force))
+                    major = min(r * (1.0 + config.k * fnorm), cap)
+                    trace.write(_round_line(rounds, n_total, n_invalid, phi, fnorm, major / r))
+            fnorm = math.sqrt(float(force @ force))
+            major = min(r * (1.0 + config.k * fnorm), cap)
+            break
         rounds += 1
         if stats is not None:
             stats["shrink_rounds"] = stats.get("shrink_rounds", 0) + 1
-        if step is None:
-            step = np.where(valid_flags, weight, -weight) @ diff
         force = force + step
         fnorm = math.sqrt(float(force @ force))
         major = min(r * (1.0 + config.k * fnorm), cap)
-        if not final:
-            if fnorm > 0.0:
-                # prolate test in closed form: every minor semi-axis is r
-                p = diff @ (force / fnorm)
-                form = (p / major) ** 2 + (d2 - p * p) / r2
-                inside = form < 1.0
-            else:
-                inside = np.einsum("ij,ij->i", diff / r, diff / r) < 1.0
-            n_inside = int(np.count_nonzero(inside))
-            if n_inside == 0:
-                if trace is not None:
-                    trace.write(f"{rounds} 0 0 nan {fnorm:.9e} {major / r:.9f}\n")
-                return [], _region(x, force, fnorm, major, r)
-            if n_inside < n_total:
-                cand = cand[inside]
-                valid_flags = valid_flags[inside]
-                diff = diff[inside]
-                weight = weight[inside]
-                d2 = d2[inside]
-                step = None
-                checked = False
-                n_total = n_inside
-                n_invalid = int(np.count_nonzero(~valid_flags))
-                final = bool((d2 < ball2).all())
-            elif (
-                not checked
-                and major == cap
-                and fnorm > 0.0
-                and rounds < config.max_shrink_rounds
-                and n_invalid / n_total >= config.phi_threshold
-                and float(force @ step) >= 0.0
-            ):
-                checked = True
-                f_end = force + (config.max_shrink_rounds - rounds) * step
-                final = _settled(diff, d2, p, form, f_end, cap, r2, ball2)
-                if final and stats is not None:
-                    stats["settled"] = stats.get("settled", 0) + 1
+        if fnorm > 0.0:
+            # prolate test in closed form: every minor semi-axis is r
+            p = diff @ (force / fnorm)
+            form = (p / major) ** 2 + (d2 - p * p) / r2
+            inside = form < 1.0
+        else:
+            inside = np.einsum("ij,ij->i", diff / r, diff / r) < 1.0
+        n_inside = int(np.count_nonzero(inside))
+        if n_inside == 0:
+            if trace is not None:
+                trace.write(f"{rounds} 0 0 nan {fnorm:.9e} {major / r:.9f}\n")
+            return [], _region(x, force, fnorm, major, r)
+        if n_inside < n_total:
+            cand = cand[inside]
+            valid_flags = valid_flags[inside]
+            diff = diff[inside]
+            weight = weight[inside]
+            d2 = d2[inside]
+            step = None
+            checked = False
+            n_total = n_inside
+            n_invalid = int(np.count_nonzero(~valid_flags))
+            final = bool((d2 < ball2).all())
+        elif (
+            not checked
+            and major == cap
+            and fnorm > 0.0
+            and rounds < config.max_shrink_rounds
+            and n_invalid / n_total >= config.phi_threshold
+            and float(force @ step) >= 0.0
+        ):
+            checked = True
+            f_end = force + (config.max_shrink_rounds - rounds) * step
+            final = _settled(diff, d2, p, form, f_end, cap, r2, ball2)
+            if final and stats is not None:
+                stats["settled"] = stats.get("settled", 0) + 1
         phi = n_invalid / n_total
         if trace is not None:
-            trace.write(
-                f"{rounds} {n_total} {n_invalid} {phi:.9f} {fnorm:.9e} {major / r:.9f}\n"
-            )
+            trace.write(_round_line(rounds, n_total, n_invalid, phi, fnorm, major / r))
         if ke_q2 == 0.0:
             # zero charge leaves the force at zero forever, so the region
             # and its membership are already at their fixed point
             break
     return cand[valid_flags].tolist(), _region(x, force, fnorm, major, r)
+
+
+def _round_line(
+    rounds: int, n_total: int, n_invalid: int, phi: float, fnorm: float, ratio: float
+) -> str:
+    """One round's trace line: the round, the candidates and the invalid ones
+    left, phi, the force's norm and the major radius over r."""
+    return f"{rounds} {n_total} {n_invalid} {phi:.9f} {fnorm:.9e} {ratio:.9f}\n"
 
 
 def _gather(x: State, reach: float, kdtree: cKDTree) -> np.ndarray:

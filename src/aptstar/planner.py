@@ -584,13 +584,13 @@ def plan_rrt_connect(problem: ProblemInstance, config: PlannerConfig) -> Planner
 
         ta, tb = trees
         d_a = ta.distances(x_rand)
-        ia = int(np.argmin(d_a))
+        ia = int(d_a.argmin())
         x_new = _steer(ta.states[ia], x_rand, float(d_a[ia]), max_edge)
         if is_state_valid(world, x_new) and motion_ok(ta.states[ia], x_new):
             wa = ta.add(x_new, ia, _dist(ta.states[ia], x_new))
             # greedily connect the other tree toward x_new
             d_b = tb.distances(x_new)
-            current = int(np.argmin(d_b))
+            current = int(d_b.argmin())
             d = float(d_b[current])
             reached = False
             while True:
@@ -654,12 +654,12 @@ def plan_informed_rrt_star(problem: ProblemInstance, config: PlannerConfig) -> P
             x_rand = sample_uniform(world.bounds, rng)
 
         d_rand = tree.distances(x_rand)
-        iv = int(np.argmin(d_rand))
+        iv = int(d_rand.argmin())
         x_new = _steer(tree.states[iv], x_rand, float(d_rand[iv]), max_edge)
         if not is_state_valid(world, x_new):
             continue
         d_new = d_rand if x_new is x_rand else tree.distances(x_new)
-        if float(np.min(d_new)) <= _EPS:
+        if float(d_new.min()) <= _EPS:
             continue
 
         counters["neighbor_queries"] += 1
@@ -668,12 +668,12 @@ def plan_informed_rrt_star(problem: ProblemInstance, config: PlannerConfig) -> P
             * rnn_radius(len(tree) + 1, n, informed_measure, bounds_measure, config.eta),
             max_edge,
         )
-        nbrs = np.flatnonzero(d_new <= radius)
+        nbrs = (d_new <= radius).nonzero()[0]
         if not d_new[iv] <= radius:
             nbrs = np.append(nbrs, iv)
         d_nb = d_new[nbrs]
         g = tree.g
-        g_nb = np.array(g)[nbrs]
+        g_nb = np.array([g[i] for i in nbrs.tolist()])
 
         # cheapest cost-to-come first; indices are unique, so they break ties
         parent = -1

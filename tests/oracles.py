@@ -190,6 +190,18 @@ def visibility_shortest_path(obstacles, start, goal, bounds=(0.0, 1.0)) -> float
         return math.inf
 
 
+def state_valid(boxes, lo, hi, x) -> bool:
+    """Is x inside the closed bounds [lo, hi] and inside none of the closed
+    boxes, each a (min corner, max corner) pair? NaN is outside everything."""
+    n = len(lo)
+    if not all(lo[k] <= x[k] <= hi[k] for k in range(n)):
+        return False
+    for box_lo, box_hi in boxes:
+        if all(box_lo[k] <= x[k] <= box_hi[k] for k in range(n)):
+            return False
+    return True
+
+
 def motion_valid_fine(obstacles, bounds_lo, bounds_hi, a, b, resolution) -> bool:
     """Plain-loop segment check at the given spacing, endpoints included."""
     n = len(a)

@@ -243,6 +243,7 @@ def test_criterion_06_endpoint_contracts(capsys):
     )
 
 
+@pytest.mark.slow
 def test_criterion_07_planner_desk_scale(capsys):
     start = time.perf_counter()
     empty_run = plan_apt(
@@ -302,6 +303,7 @@ def test_criterion_08_anytime_and_determinism(capsys):
     )
 
 
+@pytest.mark.slow
 def test_criterion_09_ablation_trend(capsys):
     cfg = PlannerConfig(max_time=0.2)
     suites = {

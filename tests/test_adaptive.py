@@ -301,3 +301,35 @@ class TestConfigs:
             ChargeConfig(q_min=2.0, q_max=1.0)
         with pytest.raises(ValueError):
             ChargeConfig(alpha=0)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("q_max", math.inf),
+            ("q_max", math.nan),
+            ("q_min", math.nan),
+            ("epsilon", math.nan),
+            ("epsilon", math.inf),
+            ("beta", math.nan),
+            ("beta", -math.inf),
+            ("alpha", 2.5),
+            ("alpha", 100.0),
+            ("alpha", True),
+        ],
+    )
+    def test_charge_config_rejects_nonfinite_or_fractional(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            ChargeConfig(**{field: value})
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{"m_max": 199.5}, {"m_max": 199.0}, {"m_min": 1.0}, {"m_min": math.nan},
+         {"m_max": math.inf}, {"m_min": True}],
+    )
+    def test_batch_config_rejects_non_integer_sizes(self, kwargs):
+        with pytest.raises(ValueError, match="m_min and m_max must be integers"):
+            BatchConfig(**kwargs)
+
+    def test_integer_configs_accepted(self):
+        assert BatchConfig(m_min=np.int64(2), m_max=50).m_default == 26
+        assert ChargeConfig(alpha=np.int32(10), epsilon=-3.0, beta=0.0).alpha == 10

@@ -89,6 +89,25 @@ class TestPlan:
         assert run_cli("plan", "--world", str(world), "--planner", "apt",
                        "--config", str(cfg), "--max-iters", "1") == 2
 
+    @pytest.mark.parametrize(
+        "config, message",
+        [
+            ({"charge.epsilon": float("nan")}, "epsilon must be finite"),
+            ({"charge.q_max": float("inf")}, "q_max finite"),
+            ({"batch": {"m_min": 1, "m_max": 199.5}}, "m_min and m_max must be integers"),
+        ],
+    )
+    def test_bad_charge_or_batch_config_exit_2(self, tmp_path, capsys, config, message):
+        # each used to pass construction and fail inside the first batch
+        world = tmp_path / "w.json"
+        run_cli("worldgen", "--family", "dw", "--dim", "2", "--out", str(world))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        capsys.readouterr()
+        assert run_cli("plan", "--world", str(world), "--planner", "apt",
+                       "--config", str(cfg), "--max-iters", "3") == 2
+        assert message in capsys.readouterr().err
+
 
 class TestBenchAndSummarize:
     def test_end_to_end(self, tmp_path, capsys):

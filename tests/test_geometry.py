@@ -28,7 +28,7 @@ from aptstar.geometry import (
 )
 from aptstar.worlds import WorldSpec, make_world
 
-from oracles import mc_two_focus_volume, motion_valid_fine
+from oracles import mc_two_focus_volume, motion_valid_fine, state_valid
 
 
 def unit_world(*obstacles):
@@ -260,6 +260,36 @@ class TestLebesgueMeasure:
         assert lebesgue_measure(math.inf, 1.0, 2) == math.inf
 
 
+# one world of each benchmark family
+BENCHMARK_FAMILIES = [
+    WorldSpec("dividing_wall", 2, seed=1),
+    WorldSpec("dividing_wall", 4, seed=1),
+    WorldSpec("dividing_wall", 8, seed=1),
+    WorldSpec("random_rectangles", 2, seed=1),
+    WorldSpec("random_rectangles", 4, seed=1, obstacle_count=60, width_range=(0.25, 0.45)),
+]
+
+
+def covering_world(n, lo, hi):
+    """Bounds [lo, hi]^n with boxes that touch or cover them on some axes."""
+    w = hi - lo
+    wall_lo, wall_hi = np.full(n, lo), np.full(n, hi)
+    wall_lo[0], wall_hi[0] = lo + 0.45 * w, lo + 0.55 * w
+    corner_hi = np.full(n, hi)
+    corner_hi[-1] = lo + 0.3 * w
+    boxes = (
+        # spans the bounds on every axis but the first
+        HyperRectangle(wall_lo, wall_hi),
+        # touches the lower faces on every axis
+        HyperRectangle(np.full(n, lo), np.full(n, lo + 0.2 * w)),
+        # covers the bounds on every axis but the last, beyond them on some
+        HyperRectangle(np.full(n, lo - 1.0), corner_hi),
+        # inside, touching nothing
+        HyperRectangle(np.full(n, lo + 0.6 * w), np.full(n, lo + 0.7 * w)),
+    )
+    return WorldModel(HyperRectangle(np.full(n, lo), np.full(n, hi)), boxes)
+
+
 class TestValidity:
     def test_empty_world(self):
         world = unit_world()
@@ -309,6 +339,58 @@ class TestValidity:
     def test_batched_on_no_rows(self):
         world = unit_world(([0.4, 0.4], [0.6, 0.6]))
         assert states_valid(world, np.empty((0, 2))).shape == (0,)
+
+    def assert_equals_oracle(self, world, rng, count=400):
+        lo, hi = world.bounds.min_corner.tolist(), world.bounds.max_corner.tolist()
+        boxes = [(o.min_corner.tolist(), o.max_corner.tolist()) for o in world.obstacles]
+        pts = self.boundary_points([world.bounds, *world.obstacles], rng, count)
+        got = [is_state_valid(world, p) for p in pts]
+        want = [state_valid(boxes, lo, hi, p.tolist()) for p in pts]
+        mismatches = [p for p, g, w in zip(pts, got, want) if g != w]
+        assert not mismatches, mismatches[:3]
+        return got
+
+    @pytest.mark.parametrize("spec", BENCHMARK_FAMILIES, ids=lambda spec: spec.world_id)
+    def test_benchmark_families_equal_oracle(self, spec):
+        got = self.assert_equals_oracle(make_world(spec), np.random.default_rng(41))
+        assert 0 < sum(got) < len(got)
+
+    @pytest.mark.parametrize("lo, hi", [(0.0, 1.0), (0.1, 0.9), (-1.3, 2.7)])
+    @pytest.mark.parametrize("n", [1, 2, 3, 5])
+    def test_boxes_covering_some_axes_equal_oracle(self, n, lo, hi):
+        self.assert_equals_oracle(covering_world(n, lo, hi), np.random.default_rng(n))
+
+    def test_box_covering_every_axis_equals_oracle(self):
+        for bounds_lo, bounds_hi in ((0.0, 1.0), (0.1, 0.9)):
+            bounds = HyperRectangle([bounds_lo] * 3, [bounds_hi] * 3)
+            for cover in (bounds, HyperRectangle([-1.0] * 3, [2.0] * 3)):
+                got = self.assert_equals_oracle(
+                    WorldModel(bounds, (cover,)), np.random.default_rng(5)
+                )
+                assert not any(got)
+
+    @pytest.mark.parametrize("n", [1, 2, 4])
+    def test_empty_world_equals_oracle(self, n):
+        world = WorldModel(HyperRectangle(np.zeros(n), np.ones(n)))
+        got = self.assert_equals_oracle(world, np.random.default_rng(n))
+        assert 0 < sum(got) < len(got)
+
+    def test_nan_is_invalid(self):
+        for world in (unit_world(), unit_world(([0.4, 0.4], [0.6, 0.6]))):
+            assert not is_state_valid(world, np.array([0.5, math.nan]))
+            assert not is_state_valid(world, np.array([math.nan, math.nan]))
+
+    def test_out_of_bounds_beside_a_box_is_invalid(self):
+        # outside the bounds on a covered axis of a box that holds no point
+        world = unit_world(([0.45, 0.0], [0.55, 1.0]))
+        assert not is_state_valid(world, np.array([0.2, 1.0000000000000002]))
+        assert not is_state_valid(world, np.array([-1e-300, 0.5]))
+
+    @pytest.mark.parametrize("x", [[0.5], [0.5, 0.5, 0.5], [[0.5, 0.5]]])
+    def test_dimension_mismatch_raises(self, x):
+        for world in (unit_world(), unit_world(([0.4, 0.4], [0.6, 0.6]))):
+            with pytest.raises(ValueError, match="dimensionality"):
+                is_state_valid(world, np.array(x))
 
 
 class TestMotionValid:
@@ -493,9 +575,12 @@ def _face_edges(world, rng, count):
 def _assert_matches_reference(world, edges, resolution):
     # the reference can miss an end point b on a face (see
     # test_end_point_rounded_off_a_covered_face); is_motion_valid tests b
+    lo, hi = world.bounds.min_corner.tolist(), world.bounds.max_corner.tolist()
+    boxes = [(o.min_corner.tolist(), o.max_corner.tolist()) for o in world.obstacles]
     got = [is_motion_valid(world, a, b, resolution) for a, b in edges]
     want = [
-        reference_is_motion_valid(world, a, b, resolution) and is_state_valid(world, b)
+        reference_is_motion_valid(world, a, b, resolution)
+        and state_valid(boxes, lo, hi, b.tolist())
         for a, b in edges
     ]
     mismatches = [e for e, g, w in zip(edges, got, want) if g != w]
@@ -506,18 +591,7 @@ def _assert_matches_reference(world, edges, resolution):
 class TestMotionCheckEqualsReference:
     """is_motion_valid gives exactly the reference loop's answer."""
 
-    @pytest.mark.parametrize(
-        "spec",
-        [
-            WorldSpec("dividing_wall", 2, seed=1),
-            WorldSpec("dividing_wall", 4, seed=1),
-            WorldSpec("dividing_wall", 8, seed=1),
-            WorldSpec("random_rectangles", 2, seed=1),
-            WorldSpec("random_rectangles", 4, seed=1, obstacle_count=60,
-                      width_range=(0.25, 0.45)),
-        ],
-        ids=lambda spec: spec.world_id,
-    )
+    @pytest.mark.parametrize("spec", BENCHMARK_FAMILIES, ids=lambda spec: spec.world_id)
     def test_benchmark_families(self, spec):
         world = make_world(spec)
         rng = np.random.default_rng(31)
@@ -533,21 +607,7 @@ class TestMotionCheckEqualsReference:
         # leave the bounds by one ulp while b is on a face.
         rng = np.random.default_rng(n)
         w = hi - lo
-        wall_lo, wall_hi = np.full(n, lo), np.full(n, hi)
-        wall_lo[0], wall_hi[0] = lo + 0.45 * w, lo + 0.55 * w
-        corner_hi = np.full(n, hi)
-        corner_hi[-1] = lo + 0.3 * w
-        boxes = [
-            # spans the bounds on every axis but the first
-            HyperRectangle(wall_lo, wall_hi),
-            # touches the lower faces on every axis
-            HyperRectangle(np.full(n, lo), np.full(n, lo + 0.2 * w)),
-            # covers the bounds on every axis but the last, beyond them on some
-            HyperRectangle(np.full(n, lo - 1.0), corner_hi),
-            # inside, touching nothing
-            HyperRectangle(np.full(n, lo + 0.6 * w), np.full(n, lo + 0.7 * w)),
-        ]
-        world = WorldModel(HyperRectangle(np.full(n, lo), np.full(n, hi)), tuple(boxes))
+        world = covering_world(n, lo, hi)
         edges = _face_edges(world, rng, 1500)
         for resolution in (1e-3 * w, 0.37 * w, 10.0 * w):  # the last gives steps == 1
             _assert_matches_reference(world, edges, resolution)
@@ -636,6 +696,15 @@ class TestHyperRectangleContains:
     def test_wrong_length_raises(self, x):
         with pytest.raises(ValueError):
             self.box.contains(np.array(x))
+
+
+class TestHyperRectangleWidths:
+    def test_built_once_and_read_only(self):
+        box = HyperRectangle([0.1, -1.0, 2.0], [0.9, 1.0, 2.0])
+        assert box.widths is box.widths
+        assert box.widths.tolist() == (box.max_corner - box.min_corner).tolist()
+        with pytest.raises(ValueError):
+            box.widths[0] = 5.0
 
 
 class TestOrthonormalBasis:

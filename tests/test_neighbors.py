@@ -559,6 +559,99 @@ class TestSettledRounds:
         assert stats["shrink_rounds"] == len(rounds)
 
 
+def region_key(region):
+    if region is None:
+        return None
+    axis = None if region.axis is None else region.axis.tobytes()
+    return region.center.tobytes(), axis, region.major, region.minor
+
+
+class TestTraceChangesNothing:
+    """Rounds that can no longer change membership run as one tight loop of
+    force additions; with trace= they still write a line each. Both give the
+    same members, region and stats, and the oracle's members and rounds."""
+
+    def check(self, x, pts, flags, batch, charge):
+        n = len(x)
+        plain, traced = {}, {}
+        trace = io.StringIO()
+        got, region = query(x, pts, flags, batch, charge, stats=plain)
+        got_t, region_t = query(x, pts, flags, batch, charge, stats=traced, trace=trace)
+        assert got == got_t
+        assert region_key(region) == region_key(region_t)
+        assert plain == traced
+        lines = [line.split() for line in trace.getvalue().splitlines()]
+        assert [int(line[0]) for line in lines] == list(range(1, len(lines) + 1))
+        assert len(lines) == plain.get("shrink_rounds", 0)
+        r = rnn_radius(batch, n, math.inf, 1.0)
+        if region is not None:
+            assert lines[-1][5] == f"{region.major / r:.9f}"
+        want, rounds = brute_elliptical_nn(
+            tuple(x), [(tuple(p), bool(v)) for p, v in zip(pts, flags)],
+            batch, n, CFG, charge, with_rounds=True,
+        )
+        assert sorted(got) == want
+        if charge > 0.0:
+            # with zero charge the oracle runs every round of a force that stays zero
+            assert len(lines) == len(rounds)
+        return plain
+
+    def test_zero_charge(self):
+        rng = np.random.default_rng(40)
+        for n in (2, 4):
+            for _ in range(20):
+                x, pts, flags = random_fixture(rng, n, 40)
+                stats = self.check(x, pts, flags, 30, 0.0)
+                assert stats.get("shrink_rounds", 0) <= 1
+
+    @pytest.mark.parametrize("n", [2, 4, 8])
+    def test_final_from_the_start(self, n):
+        # every candidate lies inside the r-ball, so no round tests membership
+        rng = np.random.default_rng(50 + n)
+        r = rnn_radius(30, n, math.inf, 1.0)
+        x = np.full(n, 0.5)
+        for invalid in (0, 1, 4):
+            pts = x + r * rng.uniform(0.1, 0.9, (12, 1)) * unit_vectors(rng, 12, n)
+            flags = np.arange(12) >= invalid
+            stats = self.check(x, pts, flags, 30, 1.3)
+            # phi = invalid / 12 ends the loop after one round only below 0.1
+            cap = CFG.max_shrink_rounds
+            assert stats["shrink_rounds"] == (1 if invalid / 12 < 0.1 else cap)
+
+    @pytest.mark.parametrize("n", [2, 4, 8])
+    def test_settled_mid_loop(self, n):
+        rng = np.random.default_rng(60 + n)
+        settled = 0
+        for _ in range(20):
+            x, pts, flags = settled_fixture(rng, n, 30)
+            settled += self.check(x, pts, flags, 30, float(rng.uniform(1.2, 1.9))).get(
+                "settled", 0
+            )
+        assert settled > 0
+
+    def test_round_cap(self):
+        # the fixture of test_frozen_membership_runs_every_round: round one
+        # drops the far sample, and the rest of the rounds run to the cap
+        x = np.array([0.5, 0.5])
+        r = rnn_radius(12, 2, math.inf, 1.0)
+        offsets = [
+            (0.6, 0.0), (0.5, 0.3), (0.5, -0.3), (0.4, 0.4), (0.4, -0.4),
+            (-0.5, 0.0), (-0.4, 0.2), (-0.4, -0.2), (0.0, 2.5),
+        ]
+        pts = np.array([x + r * np.array(o) for o in offsets])
+        flags = np.array([True] * 5 + [False] * 4)
+        assert self.check(x, pts, flags, 12, 1.2)["shrink_rounds"] == CFG.max_shrink_rounds
+        # and random queries, some of which reach the cap without settling
+        rng = np.random.default_rng(70)
+        capped = 0
+        for n in (2, 4):
+            for _ in range(40):
+                x, pts, flags = random_fixture(rng, n, 50)
+                stats = self.check(x, pts, flags, 25, float(rng.uniform(0.5, 1.9)))
+                capped += stats.get("shrink_rounds", 0) == CFG.max_shrink_rounds
+        assert capped > 0
+
+
 class TestNeighborConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -579,6 +672,8 @@ class TestNeighborConfig:
             ("phi_threshold", math.nan),
             ("max_shrink_rounds", 0),
             ("max_shrink_rounds", math.nan),
+            ("max_shrink_rounds", 2.5),
+            ("max_shrink_rounds", 16.0),
             ("min_pair_distance", math.nan),
             ("max_prolongation", math.nan),
         ],

@@ -53,6 +53,7 @@ def test_traced_query_keeps_the_contract(name, setup, capsys):
     assert len(query_digest(query, outcome.run)) == 64
 
 
+@pytest.mark.slow
 def test_benchmark_run_ends_with_its_json_result():
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", "bit", "--seed", "21",

@@ -376,7 +376,9 @@ class _AptRun(_Run):
         False when the time budget ran out first."""
         tree, n = self.tree, self.world.dimension
         kdtree = cKDTree(np.vstack([self.pool, tree.positions]))
-        tree_kd = cKDTree(tree.positions)
+        # rewiring never re-hangs the root, so a batch that starts with the
+        # root alone has nothing to rewire
+        tree_kd = cKDTree(tree.positions) if len(tree) > 1 else None
         valid = np.concatenate([self.pool_valid, np.ones(len(tree), dtype=bool)])
         self.h_pool = _goal_distances(self.pool, self.goals)
         self.connected = np.zeros(len(self.pool), dtype=bool)
@@ -407,7 +409,7 @@ class _AptRun(_Run):
             )
             self.expand(v, nbrs)
             # rewiring candidates come from the same region, both radii scaled
-            if region is not None:
+            if region is not None and tree_kd is not None:
                 self.rewire(v, region.scaled(self.config.rewire_factor), tree_kd)
         return True
 

@@ -703,9 +703,10 @@ def plan_informed_rrt_star(problem: ProblemInstance, config: PlannerConfig) -> P
         run.record_improvement()
 
         # every goal is tried before the incumbent is updated, unlike apt's
-        # try_goal, which records after each goal
+        # try_goal, which records after each goal; d is distance()'s own
+        # arithmetic without its argument checks
         for gi, gstate in enumerate(goals):
-            d = distance(x_new, gstate)
+            d = math.sqrt(((x_new - gstate) ** 2).sum())
             if d <= 0.0 or d > max_edge:
                 continue
             g_new = g[w] + d

@@ -34,6 +34,7 @@ from .geometry import (
     State,
     default_motion_resolution,
     distance,
+    is_int,
     is_motion_valid,
     is_state_valid,
     lebesgue_measure,
@@ -80,8 +81,11 @@ class PlannerConfig:
             raise ValueError("set max_time, max_iterations, or both")
         if self.max_time is not None and not self.max_time >= 0.0:
             raise ValueError("max_time must be nonnegative")
-        if self.max_iterations is not None and self.max_iterations < 0:
-            raise ValueError("max_iterations must be nonnegative")
+        if self.max_iterations is not None:
+            if not is_int(self.max_iterations):
+                raise ValueError("max_iterations must be an integer")
+            if self.max_iterations < 0:
+                raise ValueError("max_iterations must be nonnegative")
         if not 0.0 <= self.goal_bias < 1.0:
             raise ValueError("goal_bias must be in [0, 1)")
         if not self.rewire_factor > 0.0:

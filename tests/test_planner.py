@@ -64,6 +64,9 @@ class TestPlannerConfig:
             {"max_time": -1.0},
             {"max_time": math.nan},
             {"max_iterations": -3},
+            {"max_iterations": 2.5},
+            {"max_iterations": 3.0},
+            {"max_iterations": True},
             {"max_iterations": 5, "rewire_factor": 0.0},
             {"max_iterations": 5, "rewire_factor": -1.2},
             {"max_iterations": 5, "max_edge_length": -0.5},
@@ -92,6 +95,16 @@ class TestPlannerConfig:
         code = main(["plan", "--world", str(world), "--planner", "apt", flag, value])
         assert code == 2
         assert "must be nonnegative" in capsys.readouterr().err
+
+    def test_cli_exits_2_on_fractional_iteration_budget(self, tmp_path, capsys):
+        world = tmp_path / "w.json"
+        main(["worldgen", "--family", "dw", "--dim", "2", "--out", str(world)])
+        config = tmp_path / "cfg.json"
+        config.write_text('{"max_iterations": 2.5}')
+        code = main(["plan", "--world", str(world), "--planner", "informed_rrt_star",
+                     "--config", str(config)])
+        assert code == 2
+        assert "max_iterations must be an integer" in capsys.readouterr().err
 
     def test_cli_exits_2_on_zero_rewire_factor(self, tmp_path, capsys):
         world = tmp_path / "w.json"

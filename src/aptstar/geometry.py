@@ -153,36 +153,40 @@ class ProblemInstance:
 
 @dataclass(frozen=True)
 class InformedSet:
-    """Two-focus ellipsoid of states that could improve on the current cost."""
+    """Two-focus ellipsoid of states that could improve on the current cost.
+
+    Stored, like ``neighbors.EllipsoidRegion``, as the prolate spheroid it
+    is: the centre between the foci, the unit focal axis, the major radius
+    c_current / 2 and the minor radius sqrt(c_current^2 - c_min^2) / 2, both
+    infinite before a first solution.
+    """
 
     focus_a: State
     focus_b: State
     c_current: float
     c_min: float
+    center: State = field(init=False)
+    axis: np.ndarray = field(init=False)
+    major: float = field(init=False)
+    minor: float = field(init=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "focus_a", as_state(self.focus_a))
-        object.__setattr__(self, "focus_b", as_state(self.focus_b))
-        if math.isfinite(self.c_current) and self.c_current < self.c_min:
+        fa, fb = as_state(self.focus_a), as_state(self.focus_b)
+        object.__setattr__(self, "focus_a", fa)
+        object.__setattr__(self, "focus_b", fb)
+        c = self.c_current
+        if math.isfinite(c) and c < self.c_min:
             raise ValueError("c_current below the focal distance")
+        offset = fb - fa
+        norm = math.sqrt(offset.dot(offset))
+        object.__setattr__(self, "center", (fa + fb) / 2.0)
+        # coincident foci (c_min = 0) leave a zero axis: the set is a ball, major == minor
+        object.__setattr__(self, "axis", offset / norm if norm > 0.0 else offset)
+        object.__setattr__(self, "major", c / 2.0)
+        object.__setattr__(self, "minor", math.sqrt(c * c - self.c_min**2) / 2.0)
 
     def contains(self, x: State) -> bool:
         return distance(x, self.focus_a) + distance(x, self.focus_b) < self.c_current
-
-    @property
-    def transform(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(semi-axes, rotation, centre) mapping the unit ball onto the set,
-        built once per instance; the rotation's first column is the focal axis."""
-        cached = getattr(self, "_transform", None)
-        if cached is None:
-            c = self.c_current
-            axes = np.full(self.focus_a.size, math.sqrt(c * c - self.c_min**2) / 2.0)
-            axes[0] = c / 2.0
-            rot = orthonormal_basis(self.focus_b - self.focus_a)
-            center = (self.focus_a + self.focus_b) / 2.0
-            cached = (axes, rot, center)
-            object.__setattr__(self, "_transform", cached)
-        return cached
 
 
 def distance(a: State, b: State) -> float:
@@ -222,7 +226,9 @@ def lebesgue_measure(c_i: float, c_min: float, n: int) -> float:
 
 
 def orthonormal_basis(v: State) -> np.ndarray:
-    """Orthonormal matrix whose first column is v normalized.
+    """Orthonormal matrix whose first column is v normalized. The package
+    builds no frame; the function stays for its tests and for
+    ``perfbench``, which times a layer under this name.
 
     The remaining columns come from Gram-Schmidt over the standard basis,
     skipping the axis most parallel to v. A zero vector yields the identity.
@@ -263,50 +269,35 @@ def sample_uniform(bounds: HyperRectangle, rng: np.random.Generator) -> State:
 
 # consecutive rejected draws after which informed sampling gives up
 _MAX_REJECTS = 100_000
+# the most draws in one round of sample_batch: it keeps the round's temporary
+# arrays small (16 KiB each at n = 8), since rounds of thousands of rows raised
+# the planners' peak memory. Below _MAX_REJECTS, so only a run of rejections
+# spanning rounds can reach that.
+_MAX_ROUND = 256
 
 
 def sample_informed(
     informed: InformedSet, bounds: HyperRectangle, rng: np.random.Generator
 ) -> State:
-    """Uniform sample from the informed set intersected with the bounds.
-
-    Before a first solution (c_current infinite) this is uniform over the
-    bounds. Otherwise a uniform point in the unit ball is scaled by the
-    ellipse semi-axes, rotated so the major axis follows goal - start, and
-    translated to the ellipse center; draws landing outside the bounds are
-    rejected and retried.
-    """
-    if not math.isfinite(informed.c_current):
-        return sample_uniform(bounds, rng)
-    if informed.c_current <= informed.c_min:
-        raise ValueError("informed set has no interior")
-    n = informed.focus_a.size
-    axes, rot, center = informed.transform
-    inv_n = 1.0 / n
-    for _ in range(_MAX_REJECTS):
-        raw = rng.standard_normal(n)
-        norm = math.sqrt(raw.dot(raw))  # np.linalg.norm's own arithmetic
-        if norm == 0.0:
-            continue
-        ball = raw / norm * rng.random() ** inv_n
-        x = center + rot @ (axes * ball)
-        if bounds.contains(x):
-            return x
-    raise RuntimeError("informed sampling failed to hit the bounds")
+    """One uniform draw from the informed set intersected with the bounds:
+    the only row of ``sample_batch(informed, bounds, rng, 1)``."""
+    return sample_batch(informed, bounds, rng, 1)[0]
 
 
 def sample_batch(
     informed: InformedSet, bounds: HyperRectangle, rng: np.random.Generator, count: int
 ) -> np.ndarray:
-    """count draws of sample_informed as one (count, n) array.
+    """count uniform draws from the informed set intersected with the bounds,
+    as a (count, n) array.
 
-    The rows equal count successive sample_informed calls bit for bit, and
-    rng is left in the same state. Only the random-number calls stay one per
-    draw, in sample_informed's order; the transform and the bounds test run
-    on all of a round's draws at once, and each round draws only the
-    shortfall, so no draw past the last accepted one is consumed. The
-    rotation is a stacked matrix-vector product because a plain matrix
-    product rounds differently from ``rot @ v``.
+    Before a first solution (c_current infinite) the rows are uniform over
+    the bounds, from one ``rng.random`` call. Otherwise each round draws k
+    points y uniformly in the unit ball (a normalized standard normal row
+    scaled by u^(1/n)) and maps them onto the spheroid with
+    x = c + b*y + (a - b)(u.y)u (Gammell, Srinivasa and Barfoot, IROS 2014),
+    which needs no rotation; the rows inside the closed bounds are kept in
+    draw order. k is sized from the acceptance so far, up to _MAX_ROUND.
+    Raises RuntimeError after _MAX_REJECTS consecutive rejected draws.
     """
     if count < 0:
         raise ValueError("count must be nonnegative")
@@ -314,40 +305,34 @@ def sample_batch(
         return bounds.min_corner + rng.random((count, bounds.dimension)) * bounds.widths
     if informed.c_current <= informed.c_min:
         raise ValueError("informed set has no interior")
-    n = informed.focus_a.size
-    axes, rot, center = informed.transform
-    inv_n = 1.0 / n
+    center, axis, a, b = informed.center, informed.axis, informed.major, informed.minor
+    n = center.size
     out = np.empty((count, n))
-    filled = 0
-    misses = 0  # rejected draws since the last accepted one
+    filled = drawn = 0
+    misses = 0  # rejected draws since the last kept one
     while filled < count:
         need = count - filled
-        raws = np.empty((need, n))
-        norms = np.zeros(need)
-        scales = np.empty(need)
-        for i in range(need):
-            raw = rng.standard_normal(n)
-            norm = math.sqrt(raw.dot(raw))
-            if norm == 0.0:
-                continue  # a rejected draw, as in sample_informed
-            raws[i] = raw
-            norms[i] = norm
-            scales[i] = rng.random() ** inv_n
-        drawn = np.flatnonzero(norms)
-        y = raws[drawn] / norms[drawn, None] * scales[drawn, None] * axes
-        x = center + (rot @ y[:, :, None])[:, :, 0]
-        inside = np.all((x >= bounds.min_corner) & (x <= bounds.max_corner), axis=1)
-        hits = drawn[inside]
-        # rejected draws before each accepted one, the first run continuing the last round's
-        runs = np.diff(hits, prepend=-1) - 1
-        if hits.size:
-            runs[0] += misses
-            misses = need - 1 - int(hits[-1])
-        else:
-            misses += need
-        if misses >= _MAX_REJECTS or np.any(runs >= _MAX_REJECTS):
+        # a quarter more draws than the acceptance so far needs (all, at first)
+        k = min(_MAX_ROUND, math.ceil(1.25 * need * (drawn + 1) / (filled + 1)))
+        y = rng.standard_normal((k, n))
+        norms = np.sqrt(np.einsum("ij,ij->i", y, y))
+        # a zero row has no direction: it becomes NaN, which the bounds reject
+        radii = rng.random(k) ** (1.0 / n)
+        y *= np.divide(radii, norms, out=np.full(k, np.nan), where=norms > 0.0)[:, None]
+        x = center + b * y + np.outer((a - b) * (y @ axis), axis)
+        hits = np.flatnonzero(
+            np.all((x >= bounds.min_corner) & (x <= bounds.max_corner), axis=1)
+        )[:need]
+        drawn += k
+        if hits.size == 0:
+            misses += k
+            if misses >= _MAX_REJECTS:
+                raise RuntimeError("informed sampling failed to hit the bounds")
+            continue
+        if misses + hits[0] >= _MAX_REJECTS:
             raise RuntimeError("informed sampling failed to hit the bounds")
-        out[filled : filled + hits.size] = x[inside]
+        misses = k - 1 - int(hits[-1])
+        out[filled : filled + hits.size] = x[hits]
         filled += hits.size
     return out
 

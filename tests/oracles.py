@@ -49,6 +49,45 @@ def mc_two_focus_volume(
     return float(frac) * box
 
 
+def informed_bounding_box(fa, fb, c: float) -> tuple[np.ndarray, np.ndarray]:
+    """Axis-aligned bounding box of {x : |x - fa| + |x - fb| < c}.
+
+    From the foci alone: the set is the spheroid with major radius a = c/2
+    along the unit focal direction u and minor radius
+    b = sqrt(c^2 - |fb - fa|^2)/2, whose support in direction e_i is
+    sqrt(b^2 + (a^2 - b^2) u_i^2).
+    """
+    fa, fb = np.asarray(fa, dtype=float), np.asarray(fb, dtype=float)
+    focal = euclid(fa, fb)
+    u = (fb - fa) / focal
+    a2, b2 = c * c / 4.0, (c * c - focal * focal) / 4.0
+    half = np.sqrt(b2 + (a2 - b2) * u * u)
+    mid = (fa + fb) / 2.0
+    return mid - half, mid + half
+
+
+def informed_rejection_samples(
+    fa, fb, c: float, lo, hi, count: int, rng: np.random.Generator
+) -> np.ndarray:
+    """count uniform draws from {x : |x - fa| + |x - fb| < c} intersected
+    with the closed box [lo, hi], by rejection from the set's bounding box
+    clipped to the box. Membership is the focal-sum definition itself."""
+    fa, fb = np.asarray(fa, dtype=float), np.asarray(fb, dtype=float)
+    box_lo, box_hi = informed_bounding_box(fa, fb, c)
+    box_lo, box_hi = np.maximum(box_lo, lo), np.minimum(box_hi, hi)
+    kept = []
+    total = 0
+    while total < count:
+        pts = rng.uniform(box_lo, box_hi, size=(4096, fa.size))
+        inside = pts[
+            np.sqrt(np.sum((pts - fa) ** 2, axis=1)) + np.sqrt(np.sum((pts - fb) ** 2, axis=1))
+            < c
+        ]
+        kept.append(inside)
+        total += len(inside)
+    return np.concatenate(kept)[:count]
+
+
 def gram_schmidt_columns(f) -> list[list[float]]:
     """Plain-Python frame construction mirroring the documented convention:
     first column is f normalized, rest from the standard basis skipping the

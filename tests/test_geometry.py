@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.stats import beta, ks_2samp, kstest
 
 from aptstar.geometry import (
     HyperRectangle,
@@ -28,7 +29,13 @@ from aptstar.geometry import (
 )
 from aptstar.worlds import WorldSpec, make_world
 
-from oracles import mc_two_focus_volume, motion_valid_fine, state_valid
+from oracles import (
+    informed_bounding_box,
+    informed_rejection_samples,
+    mc_two_focus_volume,
+    motion_valid_fine,
+    state_valid,
+)
 
 
 def unit_world(*obstacles):
@@ -153,58 +160,126 @@ class TestSampleInformed:
 
 
 
-def draws_one_by_one(informed, box, rng, count):
-    return np.array([sample_informed(informed, box, rng) for _ in range(count)]).reshape(
-        count, box.dimension
-    )
+def in_informed_set(fa, fb, c, points):
+    """Strict focal-sum membership of each row of points."""
+    points = np.asarray(points, dtype=float)
+    return np.sqrt(np.sum((points - fa) ** 2, axis=1)) + np.sqrt(
+        np.sum((points - fb) ** 2, axis=1)
+    ) < c
+
+
+def in_closed_box(box, points):
+    return np.all((points >= box.min_corner) & (points <= box.max_corner), axis=1)
+
+
+def spheroid_coordinates(fa, fb, points):
+    """Each row's projection on the focal axis, from the foci's midpoint,
+    and its distance from that axis."""
+    u = (fb - fa) / np.linalg.norm(fb - fa)
+    offsets = points - (fa + fb) / 2.0
+    along = offsets @ u
+    across = np.sqrt(np.maximum(np.sum(offsets**2, axis=1) - along**2, 0.0))
+    return along, across
 
 
 class TestSampleBatch:
-    """sample_batch must equal count sample_informed calls bit for bit, and
-    leave the generator where they leave it."""
-
-    def assert_same_as_one_by_one(self, informed, box, seed, count):
-        one, batch = np.random.default_rng(seed), np.random.default_rng(seed)
-        want = draws_one_by_one(informed, box, one, count)
-        got = sample_batch(informed, box, batch, count)
-        assert got.shape == (count, box.dimension)
-        assert np.array_equal(got, want)
-        assert batch.bit_generator.state == one.bit_generator.state
-        return got
+    """sample_batch draws uniformly from the informed set intersected with
+    the closed bounds; before a first solution, uniformly from the bounds."""
 
     @pytest.mark.parametrize("n", range(1, 17))
-    def test_informed_draws_are_bit_identical(self, n):
+    def test_informed_draws_lie_in_the_set(self, n):
         rng = np.random.default_rng(100 + n)
         box = HyperRectangle(np.zeros(n), np.ones(n))
-        wide = HyperRectangle(np.full(n, -10.0), np.full(n, 10.0))
         cut = 0
         for case in range(20):
-            # foci off every coordinate axis, and sets the unit box cuts
+            # foci off every coordinate axis, and sets the unit box cuts; up
+            # to 2 c_min the box keeps at least 0.2% of each set, while at
+            # 2.5 c_min some 16-D sets keep 1e-5 or less, where sampling
+            # raises RuntimeError by design (see the missing-bounds test)
             fa, fb = rng.uniform(0.0, 1.0, n), rng.uniform(0.0, 1.0, n)
             c_min = distance(fa, fb)
-            informed = InformedSet(fa, fb, c_min * float(rng.uniform(1.01, 2.5)), c_min)
+            c = c_min * float(rng.uniform(1.01, 2.0))
             count = int(rng.integers(1, 60))
-            got = self.assert_same_as_one_by_one(informed, box, case, count)
-            # the same stream without rejections gives other rows
-            unbounded = sample_batch(informed, wide, np.random.default_rng(case), count)
-            cut += not np.array_equal(got, unbounded)
+            got = sample_batch(InformedSet(fa, fb, c, c_min), box, rng, count)
+            assert got.shape == (count, n)
+            assert np.all(in_informed_set(fa, fb, c, got))
+            assert np.all(in_closed_box(box, got))
+            lo, hi = informed_bounding_box(fa, fb, c)
+            cut += bool(np.any(lo < 0.0) or np.any(hi > 1.0))
         assert cut >= 5
+
+    # (n, share of the set's bounding box the bounds keep below and above
+    # the foci's midpoint on each axis): the bounds cut every set
+    @pytest.mark.parametrize("n, below, above", [(2, 0.8, 0.5), (4, 0.8, 0.5),
+                                                 (8, 0.8, 0.5), (16, 0.6, 0.4)])
+    def test_draws_match_rejection_from_the_bounding_box(self, n, below, above):
+        rng = np.random.default_rng(n)
+        fa, fb = rng.uniform(0.2, 0.4, n), rng.uniform(0.6, 0.8, n)
+        c_min = distance(fa, fb)
+        c = 1.3 * c_min
+        lo, hi = informed_bounding_box(fa, fb, c)
+        mid = (fa + fb) / 2.0
+        box = HyperRectangle(mid - below * (mid - lo), mid + above * (hi - mid))
+        count = 3000
+        got = sample_batch(InformedSet(fa, fb, c, c_min), box, rng, count)
+        want = informed_rejection_samples(
+            fa, fb, c, box.min_corner, box.max_corner, count, rng
+        )
+        # per-axis means: at most 4 standard errors apart
+        se = np.sqrt((got.var(axis=0) + want.var(axis=0)) / count)
+        assert np.all(np.abs(got.mean(axis=0) - want.mean(axis=0)) < 4.0 * se)
+        # the projection on the focal axis and the distance from it
+        for ours, theirs in zip(spheroid_coordinates(fa, fb, got),
+                                spheroid_coordinates(fa, fb, want)):
+            assert ks_2samp(ours, theirs).pvalue > 1e-3
+
+    @pytest.mark.parametrize("excess", [1e-3, 1e-6])
+    def test_narrow_set_near_c_min_in_16d(self, excess):
+        # both foci on the faces x0 = ... = x3 = 0 of the unit box, so the
+        # bounds keep a sixteenth of the needle; the cut planes contain the
+        # focal axis, so the projection on it and the distance from it keep
+        # the distributions of the whole spheroid
+        n = 16
+        rng = np.random.default_rng(16)
+        fa, fb = np.zeros(n), np.zeros(n)
+        fa[4:], fb[4:] = rng.uniform(0.1, 0.4, n - 4), rng.uniform(0.6, 0.9, n - 4)
+        c_min = distance(fa, fb)
+        c = c_min * (1.0 + excess)
+        box = HyperRectangle(np.zeros(n), np.ones(n))
+        got = sample_batch(InformedSet(fa, fb, c, c_min), box, rng, 2000)
+        assert np.all(in_informed_set(fa, fb, c, got))
+        assert np.all(in_closed_box(box, got))
+        along, across = spheroid_coordinates(fa, fb, got)
+        a, b = c / 2.0, math.sqrt(c * c - c_min * c_min) / 2.0
+        t = along / a
+        # t has density (1 - t^2)^((n-1)/2): (1 + t)/2 ~ Beta((n+1)/2, (n+1)/2)
+        assert kstest((1.0 + t) / 2.0, beta((n + 1) / 2, (n + 1) / 2).cdf).pvalue > 1e-3
+        # in its cross-section a point's share of the radius has CDF s^(n-1)
+        s = across / (b * np.sqrt(1.0 - t * t))
+        assert kstest(s, beta(n - 1, 1).cdf).pvalue > 1e-3
 
     @pytest.mark.parametrize("n", [1, 2, 5])
     def test_infinite_cost_is_uniform_over_the_bounds(self, n):
+        # the rows and the generator's state equal per-draw sample_uniform's
         box = HyperRectangle(np.linspace(-1.0, 0.0, n), np.linspace(0.5, 3.0, n))
         fa, fb = np.zeros(n), np.full(n, 0.1)
         informed = InformedSet(fa, fb, math.inf, distance(fa, fb))
-        got = self.assert_same_as_one_by_one(informed, box, 7, 100)
-        assert all(box.contains(x) for x in got)
+        one, batch = np.random.default_rng(7), np.random.default_rng(7)
+        want = np.array([sample_uniform(box, one) for _ in range(100)])
+        got = sample_batch(informed, box, batch, 100)
+        assert np.array_equal(got, want)
+        assert batch.bit_generator.state == one.bit_generator.state
+        assert np.array_equal(sample_informed(informed, box, batch), sample_uniform(box, one))
 
     def test_count_zero(self):
         box = HyperRectangle([0.0] * 3, [1.0] * 3)
         fa, fb = [0.1, 0.2, 0.3], [0.9, 0.8, 0.4]
         for c in (math.inf, 1.5):
             informed = InformedSet(fa, fb, c, distance(fa, fb))
-            got = self.assert_same_as_one_by_one(informed, box, 3, 0)
-            assert got.shape == (0, 3)
+            rng = np.random.default_rng(3)
+            state = rng.bit_generator.state
+            assert sample_batch(informed, box, rng, 0).shape == (0, 3)
+            assert rng.bit_generator.state == state
 
     def test_negative_count_rejected(self):
         box = HyperRectangle([0.0, 0.0], [1.0, 1.0])

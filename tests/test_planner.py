@@ -499,10 +499,107 @@ GOLDEN_PROBLEMS = {
     ),
 }
 GOLDEN_BUDGETS = {"apt": 3, "bit": 3, "rrt_connect": 300, "informed_rrt_star": 400}
+# (world, planner, seed) -> the events of the run below up to its first
+# solution: those stamped with the batch or iteration of the first event.
+# Only draws made before any solution lead to them, so they hold through a
+# change to informed sampling; they were recorded before the informed draws
+# moved to the rotation-free spheroid transform, and are kept by hand.
+FIRST_SOLUTION_EVENTS = {
+    ("w2", "apt", 2): [
+        (0.0, 1.1031565415252782),
+        (0.0, 1.0909891353719936),
+        (0.0, 1.0642887528556262),
+        (0.0, 1.0327036216033396),
+    ],
+    ("w2", "apt", 8): [
+        (0.0, 1.1326373606415197),
+        (0.0, 1.1311144042181889),
+        (0.0, 1.0243462694740237),
+        (0.0, 1.0236110555024367),
+    ],
+    ("w2", "bit", 2): [
+        (0.0, 1.133186274473243),
+        (0.0, 1.1156910224287455),
+        (0.0, 1.0789126739120767),
+        (0.0, 1.0327036216033396),
+    ],
+    ("w2", "bit", 8): [
+        (0.0, 1.1973757823136275),
+        (0.0, 1.145879949685013),
+        (0.0, 1.1156955971798377),
+        (0.0, 1.113382853905022),
+    ],
+    ("w2", "informed_rrt_star", 2): [(18.0, 1.1225117872415913)],
+    ("w2", "informed_rrt_star", 8): [(18.0, 1.07890846135086)],
+    ("w2", "rrt_connect", 2): [(58.0, 1.3779460290780168)],
+    ("w2", "rrt_connect", 8): [(15.0, 1.2237034990382027)],
+    ("w4", "apt", 2): [(0.0, 1.211613383510325), (0.0, 1.1888480221983797)],
+    ("w4", "apt", 8): [
+        (0.0, 1.350924382417202),
+        (0.0, 1.3503807769644993),
+        (0.0, 1.3315531165970833),
+        (0.0, 1.3243542904426442),
+    ],
+    ("w4", "bit", 2): [(0.0, 1.211613383510325), (0.0, 1.1888480221983797)],
+    ("w4", "bit", 8): [
+        (0.0, 1.350924382417202),
+        (0.0, 1.3503807769644993),
+        (0.0, 1.3315531165970833),
+        (0.0, 1.3243542904426442),
+    ],
+    ("w4", "informed_rrt_star", 2): [(87.0, 2.1105140637801107)],
+    ("w4", "informed_rrt_star", 8): [(26.0, 1.6611129902212092)],
+    ("w4", "rrt_connect", 2): [(11.0, 1.9414403663696191)],
+    ("w4", "rrt_connect", 8): [(85.0, 2.5366086819601725)],
+    ("w2g2", "apt", 1): [
+        (0.0, 1.044642305945947),
+        (0.0, 0.9986977379402028),
+        (0.0, 0.99116768709282),
+        (0.0, 0.9875909434082757),
+    ],
+    ("w2g2", "apt", 2): [(0.0, 0.998531897884403), (0.0, 0.985885962022595)],
+    ("w2g2", "bit", 1): [
+        (0.0, 1.044642305945947),
+        (0.0, 0.9986977379402028),
+        (0.0, 0.99116768709282),
+    ],
+    ("w2g2", "bit", 2): [(0.0, 0.998531897884403), (0.0, 0.9888479815897743)],
+    ("w2g2", "informed_rrt_star", 1): [
+        (14.0, 1.1025794256689871),
+        (14.0, 1.0637200662879438),
+    ],
+    ("w2g2", "informed_rrt_star", 2): [(15.0, 1.008798141533561)],
+    ("w4x", "apt", 1): [
+        (0.0, 1.4680889629675489),
+        (0.0, 1.3588634958058532),
+        (0.0, 1.3230547676297133),
+    ],
+    ("w4x", "apt", 2): [
+        (0.0, 1.5234208494191057),
+        (0.0, 1.3778072914738493),
+        (0.0, 1.3286567943739431),
+    ],
+    ("w4x", "bit", 1): [
+        (0.0, 1.4680889629675489),
+        (0.0, 1.3588634958058532),
+        (0.0, 1.3430804725445182),
+    ],
+    ("w4x", "bit", 2): [(0.0, 1.5234208494191057), (0.0, 1.3778072914738493)],
+    ("w8", "informed_rrt_star", 1): [(18.0, 2.53009882583685)],
+    ("w8", "informed_rrt_star", 2): [(24.0, 2.910889469900807)],
+    ("w8", "rrt_connect", 1): [(95.0, 5.305986687649779)],
+    ("w8", "rrt_connect", 2): [(45.0, 2.4984128627907785)],
+    ("w8s", "informed_rrt_star", 1): [(35.0, 3.1516786274435837)],
+    ("w8s", "informed_rrt_star", 2): [(76.0, 6.759504377123303)],
+    ("w8s", "rrt_connect", 1): [(41.0, 4.61288842993258)],
+    ("w8s", "rrt_connect", 2): [(45.0, 3.686800213666558)],
+    ("r4", "informed_rrt_star", 1): [(99.0, 2.2819830585834944)],
+    ("r4", "informed_rrt_star", 2): [(152.0, 1.8291022014725848)],
+}
 # (world, planner, seed) -> (events, counters) of seeded iteration-budget runs,
 # as exact float literals: a change to one bit of any event cost fails the
-# test. A change that alters seeded runs on purpose re-records these and says
-# why.
+# test. A change that alters seeded runs on purpose re-records these with
+# tests/record_golden.py and says why.
 GOLDEN_RUNS = {
     ("w2", "apt", 2): (
         [
@@ -510,21 +607,16 @@ GOLDEN_RUNS = {
             (0.0, 1.0909891353719936),
             (0.0, 1.0642887528556262),
             (0.0, 1.0327036216033396),
-            (1.0, 1.0326801754360608),
-            (1.0, 1.0317451947465335),
-            (1.0, 1.0260722384761716),
-            (1.0, 1.014148550398363),
-            (2.0, 1.0058685994960759),
-            (2.0, 1.0057340630158476),
-            (2.0, 1.0019284693550188),
-            (2.0, 1.0002535424509273),
-            (2.0, 1.0002343928326232),
+            (1.0, 1.0119027903026487),
+            (1.0, 1.009680896072823),
+            (1.0, 1.0078547177841135),
+            (1.0, 1.00392544445744),
         ],
         {
-            "samples": 496,
-            "collision_checks": 1349,
-            "neighbor_queries": 249,
-            "shrink_rounds": 1441,
+            "samples": 495,
+            "collision_checks": 1357,
+            "neighbor_queries": 283,
+            "shrink_rounds": 1331,
             "batches": 3,
         },
     ),
@@ -534,15 +626,17 @@ GOLDEN_RUNS = {
             (0.0, 1.1311144042181889),
             (0.0, 1.0243462694740237),
             (0.0, 1.0236110555024367),
-            (1.0, 1.015387399978637),
-            (2.0, 1.0118564434968338),
-            (2.0, 1.0057395823521154),
+            (2.0, 1.0176470903218782),
+            (2.0, 1.0125256740939999),
+            (2.0, 1.0063892405741743),
+            (2.0, 1.0039819660578624),
+            (2.0, 1.0032794786742625),
         ],
         {
             "samples": 496,
-            "collision_checks": 1242,
-            "neighbor_queries": 277,
-            "shrink_rounds": 1434,
+            "collision_checks": 1541,
+            "neighbor_queries": 296,
+            "shrink_rounds": 1801,
             "batches": 3,
         },
     ),
@@ -552,13 +646,16 @@ GOLDEN_RUNS = {
             (0.0, 1.1156910224287455),
             (0.0, 1.0789126739120767),
             (0.0, 1.0327036216033396),
-            (2.0, 1.021326764039037),
+            (1.0, 1.0122157624293924),
+            (2.0, 1.012209511603235),
+            (2.0, 1.009330671350309),
+            (2.0, 1.00843589602431),
         ],
         {
             "samples": 300,
-            "collision_checks": 442,
-            "neighbor_queries": 159,
-            "shrink_rounds": 159,
+            "collision_checks": 448,
+            "neighbor_queries": 149,
+            "shrink_rounds": 149,
             "batches": 3,
         },
     ),
@@ -569,48 +666,46 @@ GOLDEN_RUNS = {
             (0.0, 1.1156955971798377),
             (0.0, 1.113382853905022),
             (1.0, 1.0376163009583843),
-            (1.0, 1.0344968152091574),
-            (1.0, 1.0313420055908782),
-            (2.0, 1.024009651049002),
-            (2.0, 1.012075065966849),
+            (1.0, 1.023631505423069),
+            (1.0, 1.0113060420714275),
+            (2.0, 1.0086417016475533),
         ],
         {
             "samples": 300,
             "collision_checks": 512,
-            "neighbor_queries": 150,
-            "shrink_rounds": 150,
+            "neighbor_queries": 179,
+            "shrink_rounds": 179,
             "batches": 3,
         },
     ),
     ("w2", "informed_rrt_star", 2): (
         [
             (18.0, 1.1225117872415913),
-            (19.0, 1.0950876390831583),
-            (20.0, 1.0880893126213655),
-            (22.0, 1.0768430718186561),
-            (23.0, 1.036368654465267),
-            (40.0, 1.0271803294492834),
-            (70.0, 1.0132378815937317),
-            (99.0, 1.0129406451892002),
-            (133.0, 1.0129235082022852),
-            (397.0, 1.0120631767487835),
+            (19.0, 1.0997390876675375),
+            (20.0, 1.0464774611787893),
+            (24.0, 1.03965993839564),
+            (36.0, 1.035840844609444),
+            (78.0, 1.0326063905459328),
+            (78.0, 1.0224939987579447),
+            (140.0, 1.0222897099857704),
+            (192.0, 1.0136674565104575),
+            (192.0, 1.0115809303520662),
+            (208.0, 1.01005113431246),
+            (256.0, 1.009229590178517),
+            (259.0, 1.0079140556788808),
         ],
-        {"samples": 400, "collision_checks": 858, "neighbor_queries": 363},
+        {"samples": 400, "collision_checks": 969, "neighbor_queries": 356},
     ),
     ("w2", "informed_rrt_star", 8): (
         [
             (18.0, 1.07890846135086),
-            (38.0, 1.0519174902902404),
-            (48.0, 1.038350871083973),
-            (49.0, 1.0285513693299417),
-            (56.0, 1.01954573555068),
-            (132.0, 1.008269438028773),
-            (168.0, 1.008201474966913),
-            (184.0, 1.006211652366359),
-            (201.0, 1.0060824877998744),
-            (248.0, 1.0031941421523862),
+            (43.0, 1.0681783527404),
+            (48.0, 1.011961673088401),
+            (125.0, 1.0111297126119085),
+            (222.0, 1.0070465047841741),
+            (360.0, 1.005630105415672),
         ],
-        {"samples": 400, "collision_checks": 775, "neighbor_queries": 360},
+        {"samples": 400, "collision_checks": 740, "neighbor_queries": 353},
     ),
     ("w2", "rrt_connect", 2): (
         [
@@ -628,15 +723,15 @@ GOLDEN_RUNS = {
         [
             (0.0, 1.211613383510325),
             (0.0, 1.1888480221983797),
-            (1.0, 1.1524643380022028),
-            (1.0, 1.1349140526014294),
-            (2.0, 1.054011966701243),
+            (1.0, 1.1431880246973698),
+            (1.0, 1.0862384481619682),
+            (2.0, 1.07632819548059),
         ],
         {
-            "samples": 488,
-            "collision_checks": 411,
-            "neighbor_queries": 36,
-            "shrink_rounds": 532,
+            "samples": 446,
+            "collision_checks": 270,
+            "neighbor_queries": 28,
+            "shrink_rounds": 418,
             "batches": 3,
         },
     ),
@@ -646,15 +741,14 @@ GOLDEN_RUNS = {
             (0.0, 1.3503807769644993),
             (0.0, 1.3315531165970833),
             (0.0, 1.3243542904426442),
-            (1.0, 1.271506466176918),
-            (1.0, 1.1751358440814814),
-            (1.0, 1.1468765404460184),
+            (1.0, 1.1761005828885813),
+            (1.0, 1.0519276475817485),
         ],
         {
-            "samples": 411,
-            "collision_checks": 434,
-            "neighbor_queries": 60,
-            "shrink_rounds": 946,
+            "samples": 341,
+            "collision_checks": 182,
+            "neighbor_queries": 22,
+            "shrink_rounds": 323,
             "batches": 3,
         },
     ),
@@ -662,15 +756,13 @@ GOLDEN_RUNS = {
         [
             (0.0, 1.211613383510325),
             (0.0, 1.1888480221983797),
-            (1.0, 1.185049969912892),
-            (2.0, 1.1513434285744508),
-            (2.0, 1.1350550843703842),
+            (1.0, 1.0674953198736155),
         ],
         {
             "samples": 300,
-            "collision_checks": 240,
-            "neighbor_queries": 43,
-            "shrink_rounds": 43,
+            "collision_checks": 139,
+            "neighbor_queries": 25,
+            "shrink_rounds": 25,
             "batches": 3,
         },
     ),
@@ -680,46 +772,46 @@ GOLDEN_RUNS = {
             (0.0, 1.3503807769644993),
             (0.0, 1.3315531165970833),
             (0.0, 1.3243542904426442),
-            (1.0, 1.1468765404460184),
-            (2.0, 1.112423244465925),
-            (2.0, 1.0517269558560836),
+            (1.0, 1.2483707851637162),
+            (1.0, 1.224270416938404),
+            (2.0, 1.133409944270519),
         ],
         {
             "samples": 300,
-            "collision_checks": 162,
-            "neighbor_queries": 21,
-            "shrink_rounds": 21,
+            "collision_checks": 313,
+            "neighbor_queries": 43,
+            "shrink_rounds": 43,
             "batches": 3,
         },
     ),
     ("w4", "informed_rrt_star", 2): (
         [
             (87.0, 2.1105140637801107),
-            (136.0, 1.472397762934804),
-            (157.0, 1.367348335316127),
-            (168.0, 1.3325769241798358),
-            (180.0, 1.318986323334335),
-            (181.0, 1.2507055812656387),
-            (197.0, 1.164436653605368),
-            (204.0, 1.1540200597052261),
-            (223.0, 1.1482421331414165),
-            (247.0, 1.1383862878764515),
-            (261.0, 1.1330248110392307),
-            (302.0, 1.0878195192442406),
-            (331.0, 1.0748557538210814),
+            (131.0, 1.8585369319528182),
+            (141.0, 1.7460046967513223),
+            (146.0, 1.4078083566238322),
+            (150.0, 1.3295660393679625),
+            (181.0, 1.307508907050246),
+            (214.0, 1.2478523822729501),
+            (306.0, 1.2172163286107862),
+            (334.0, 1.182344814796677),
+            (367.0, 1.1675557236164884),
         ],
-        {"samples": 400, "collision_checks": 1713, "neighbor_queries": 346},
+        {"samples": 400, "collision_checks": 2195, "neighbor_queries": 350},
     ),
     ("w4", "informed_rrt_star", 8): (
         [
             (26.0, 1.6611129902212092),
-            (38.0, 1.4596006792699572),
-            (40.0, 1.2627990722620388),
-            (49.0, 1.0685863551358188),
-            (242.0, 1.0662307046497357),
-            (317.0, 1.0636893340968598),
+            (27.0, 1.607042033361017),
+            (32.0, 1.3255301688419405),
+            (55.0, 1.3062412004951591),
+            (65.0, 1.172414331391824),
+            (96.0, 1.1502047370264834),
+            (147.0, 1.1223524041450437),
+            (186.0, 1.0895541841244833),
+            (347.0, 1.0792176466329801),
         ],
-        {"samples": 400, "collision_checks": 2204, "neighbor_queries": 308},
+        {"samples": 400, "collision_checks": 2657, "neighbor_queries": 334},
     ),
     ("w4", "rrt_connect", 2): (
         [
@@ -739,21 +831,22 @@ GOLDEN_RUNS = {
             (0.0, 0.9986977379402028),
             (0.0, 0.99116768709282),
             (0.0, 0.9875909434082757),
-            (1.0, 0.9869252236764887),
-            (1.0, 0.9862460953801352),
-            (1.0, 0.9860556980158816),
-            (2.0, 0.9860328988255295),
-            (2.0, 0.9859107172656498),
-            (2.0, 0.985822996119537),
-            (2.0, 0.9858140407025267),
-            (2.0, 0.9858087677079561),
-            (2.0, 0.9857935604124425),
+            (1.0, 0.9871232428062268),
+            (1.0, 0.986754817862274),
+            (1.0, 0.9867249406886764),
+            (1.0, 0.9864245993326645),
+            (2.0, 0.9861298285883745),
+            (2.0, 0.986069348629135),
+            (2.0, 0.9860142574311355),
+            (2.0, 0.9859607909300488),
+            (2.0, 0.9859318216780547),
+            (2.0, 0.98593149743609),
         ],
         {
             "samples": 496,
-            "collision_checks": 1951,
-            "neighbor_queries": 291,
-            "shrink_rounds": 1602,
+            "collision_checks": 1977,
+            "neighbor_queries": 339,
+            "shrink_rounds": 1392,
             "batches": 3,
         },
     ),
@@ -761,13 +854,14 @@ GOLDEN_RUNS = {
         [
             (0.0, 0.998531897884403),
             (0.0, 0.985885962022595),
-            (2.0, 0.9858022427962124),
+            (2.0, 0.9858787678502594),
+            (2.0, 0.9858228955746529),
         ],
         {
             "samples": 496,
-            "collision_checks": 2094,
-            "neighbor_queries": 301,
-            "shrink_rounds": 1298,
+            "collision_checks": 2495,
+            "neighbor_queries": 293,
+            "shrink_rounds": 2034,
             "batches": 3,
         },
     ),
@@ -776,18 +870,19 @@ GOLDEN_RUNS = {
             (0.0, 1.044642305945947),
             (0.0, 0.9986977379402028),
             (0.0, 0.99116768709282),
-            (1.0, 0.9910426527427356),
-            (2.0, 0.9904281499305969),
-            (2.0, 0.9862094488654957),
-            (2.0, 0.9861622497064115),
-            (2.0, 0.9860903086582977),
-            (2.0, 0.9860224639926133),
+            (2.0, 0.9907661601370953),
+            (2.0, 0.9905170575546179),
+            (2.0, 0.9901303222196131),
+            (2.0, 0.9896705640398566),
+            (2.0, 0.9894195848946947),
+            (2.0, 0.9884075413329403),
+            (2.0, 0.9872932668282794),
         ],
         {
             "samples": 300,
-            "collision_checks": 398,
-            "neighbor_queries": 159,
-            "shrink_rounds": 159,
+            "collision_checks": 449,
+            "neighbor_queries": 185,
+            "shrink_rounds": 185,
             "batches": 3,
         },
     ),
@@ -795,20 +890,19 @@ GOLDEN_RUNS = {
         [
             (0.0, 0.998531897884403),
             (0.0, 0.9888479815897743),
-            (2.0, 0.9882459058181792),
-            (2.0, 0.9876355436421268),
-            (2.0, 0.9875821568554577),
-            (2.0, 0.9863098237846586),
-            (2.0, 0.9862889236431653),
-            (2.0, 0.9862827460623909),
-            (2.0, 0.9860473123123283),
-            (2.0, 0.985962897326782),
+            (2.0, 0.9884979234346005),
+            (2.0, 0.9884901963506719),
+            (2.0, 0.9883829181817733),
+            (2.0, 0.9872730537217843),
+            (2.0, 0.9863479993595432),
+            (2.0, 0.98594787031086),
+            (2.0, 0.9859301766003872),
         ],
         {
             "samples": 300,
-            "collision_checks": 475,
-            "neighbor_queries": 162,
-            "shrink_rounds": 162,
+            "collision_checks": 444,
+            "neighbor_queries": 158,
+            "shrink_rounds": 158,
             "batches": 3,
         },
     ),
@@ -816,69 +910,56 @@ GOLDEN_RUNS = {
         [
             (14.0, 1.1025794256689871),
             (14.0, 1.0637200662879438),
-            (18.0, 1.0516641738035326),
-            (23.0, 1.0087066830121183),
-            (26.0, 1.007170683583269),
-            (28.0, 0.9974085631852048),
-            (32.0, 0.9938982759861665),
-            (36.0, 0.9925121690031985),
-            (39.0, 0.9905587531885875),
-            (41.0, 0.9900839252519575),
-            (42.0, 0.9873774964502552),
-            (43.0, 0.9872095166598714),
-            (43.0, 0.9868729325701436),
-            (48.0, 0.9868034342161119),
-            (49.0, 0.9866956250026682),
-            (57.0, 0.9866299934016922),
-            (57.0, 0.9861759775094597),
-            (59.0, 0.9861708513147656),
-            (82.0, 0.9859681585780262),
-            (159.0, 0.985930792437751),
-            (159.0, 0.9858843550366427),
-            (305.0, 0.9858256537802406),
-            (310.0, 0.9857982196366221),
+            (15.0, 1.0338782330391543),
+            (15.0, 0.9950188736581108),
+            (18.0, 0.9926970887446235),
+            (24.0, 0.9898321673236611),
+            (27.0, 0.9891425606759736),
+            (31.0, 0.987253148817206),
+            (33.0, 0.9871588589800738),
+            (35.0, 0.9865087899567664),
+            (35.0, 0.986493479218205),
+            (43.0, 0.9864594407999578),
+            (58.0, 0.9860537685745018),
+            (59.0, 0.9859535607251888),
+            (87.0, 0.9859090797427911),
+            (103.0, 0.9858765669064469),
         ],
-        {"samples": 400, "collision_checks": 1701, "neighbor_queries": 371},
+        {"samples": 400, "collision_checks": 1604, "neighbor_queries": 369},
     ),
     ("w2g2", "informed_rrt_star", 2): (
         [
             (15.0, 1.008798141533561),
-            (19.0, 1.0077443798733206),
-            (22.0, 0.9940093832158624),
-            (27.0, 0.9919346586219685),
-            (40.0, 0.9892535181528459),
-            (40.0, 0.9888762789272152),
-            (42.0, 0.9876038822978986),
-            (48.0, 0.9875983334746787),
-            (55.0, 0.9867891362322145),
-            (72.0, 0.9864542399745992),
-            (82.0, 0.9864518209369596),
-            (87.0, 0.9861840632219759),
-            (90.0, 0.9860904753288355),
-            (101.0, 0.9859195129936633),
-            (152.0, 0.985917848668455),
-            (193.0, 0.9857931678255505),
-            (193.0, 0.9857735585850156),
-            (310.0, 0.9857715906963871),
+            (16.0, 0.9973272898074819),
+            (17.0, 0.9943792314795119),
+            (20.0, 0.9873722030154111),
+            (23.0, 0.9873318522857644),
+            (26.0, 0.987250393264784),
+            (60.0, 0.9870737692862818),
+            (81.0, 0.9866025778542211),
+            (81.0, 0.9860994589549074),
+            (216.0, 0.9858540048229272),
         ],
-        {"samples": 400, "collision_checks": 1424, "neighbor_queries": 377},
+        {"samples": 400, "collision_checks": 1439, "neighbor_queries": 372},
     ),
     ("w4x", "apt", 1): (
         [
             (0.0, 1.4680889629675489),
             (0.0, 1.3588634958058532),
             (0.0, 1.3230547676297133),
-            (1.0, 1.2945035828041844),
-            (2.0, 1.2924075395757206),
-            (2.0, 1.2843829559809978),
-            (2.0, 1.2634186604066413),
-            (2.0, 1.2607869991157101),
+            (1.0, 1.317193649597989),
+            (2.0, 1.3169655237809663),
+            (2.0, 1.3151749278208147),
+            (2.0, 1.306611849250547),
+            (2.0, 1.2831585517687452),
+            (2.0, 1.2757530512295343),
+            (2.0, 1.2745085990471283),
         ],
         {
-            "samples": 493,
-            "collision_checks": 781,
-            "neighbor_queries": 158,
-            "shrink_rounds": 2107,
+            "samples": 496,
+            "collision_checks": 1096,
+            "neighbor_queries": 180,
+            "shrink_rounds": 2252,
             "batches": 3,
         },
     ),
@@ -887,16 +968,15 @@ GOLDEN_RUNS = {
             (0.0, 1.5234208494191057),
             (0.0, 1.3778072914738493),
             (0.0, 1.3286567943739431),
-            (1.0, 1.318358370523192),
-            (1.0, 1.3077169265745463),
-            (2.0, 1.2974968865802323),
-            (2.0, 1.2948012426643953),
+            (1.0, 1.3254638809659558),
+            (1.0, 1.2637752632636592),
+            (2.0, 1.2543949214871857),
         ],
         {
-            "samples": 495,
-            "collision_checks": 994,
-            "neighbor_queries": 202,
-            "shrink_rounds": 2978,
+            "samples": 464,
+            "collision_checks": 796,
+            "neighbor_queries": 134,
+            "shrink_rounds": 1750,
             "batches": 3,
         },
     ),
@@ -905,14 +985,14 @@ GOLDEN_RUNS = {
             (0.0, 1.4680889629675489),
             (0.0, 1.3588634958058532),
             (0.0, 1.3430804725445182),
-            (1.0, 1.3274639381693953),
-            (2.0, 1.3101861348408415),
+            (1.0, 1.27175141704878),
+            (2.0, 1.2441980357134397),
         ],
         {
             "samples": 300,
-            "collision_checks": 386,
-            "neighbor_queries": 107,
-            "shrink_rounds": 107,
+            "collision_checks": 198,
+            "neighbor_queries": 57,
+            "shrink_rounds": 57,
             "batches": 3,
         },
     ),
@@ -920,44 +1000,43 @@ GOLDEN_RUNS = {
         [
             (0.0, 1.5234208494191057),
             (0.0, 1.3778072914738493),
-            (1.0, 1.353860632225829),
-            (1.0, 1.3518693619253166),
-            (2.0, 1.317861052622825),
-            (2.0, 1.3005491493059869),
-            (2.0, 1.2919730157075897),
+            (1.0, 1.318435597890619),
+            (2.0, 1.315647490801371),
+            (2.0, 1.2994957088807202),
         ],
         {
             "samples": 300,
-            "collision_checks": 335,
-            "neighbor_queries": 81,
-            "shrink_rounds": 81,
+            "collision_checks": 309,
+            "neighbor_queries": 88,
+            "shrink_rounds": 88,
             "batches": 3,
         },
     ),
     ("w8", "informed_rrt_star", 1): (
         [
             (18.0, 2.53009882583685),
-            (85.0, 2.496358421172471),
-            (99.0, 2.277684225502016),
-            (127.0, 2.0446485280672153),
-            (150.0, 1.8267306032001267),
-            (247.0, 1.727974382077496),
-            (392.0, 1.5599953469891772),
+            (32.0, 2.4584117382977775),
+            (47.0, 2.3491245477811846),
+            (81.0, 2.098526797406886),
+            (174.0, 2.09708457587431),
+            (231.0, 1.898628977191611),
+            (345.0, 1.8237746206138428),
+            (367.0, 1.7306154552766533),
+            (386.0, 1.692549109255791),
+            (397.0, 1.6214341096300358),
         ],
-        {"samples": 400, "collision_checks": 15613, "neighbor_queries": 358},
+        {"samples": 400, "collision_checks": 16790, "neighbor_queries": 368},
     ),
     ("w8", "informed_rrt_star", 2): (
         [
             (24.0, 2.910889469900807),
-            (26.0, 2.7245798902431644),
-            (48.0, 2.5169860936187085),
-            (62.0, 2.5147448615303576),
-            (94.0, 1.7134413697847322),
-            (100.0, 1.6168043831120062),
-            (134.0, 1.5410723083227367),
-            (153.0, 1.5030013957307862),
+            (38.0, 2.426017132376336),
+            (49.0, 1.935672094893821),
+            (88.0, 1.9250005246686914),
+            (158.0, 1.748397458198964),
+            (225.0, 1.6990753949422859),
         ],
-        {"samples": 400, "collision_checks": 12567, "neighbor_queries": 350},
+        {"samples": 400, "collision_checks": 16184, "neighbor_queries": 349},
     ),
     ("w8", "rrt_connect", 1): (
         [
@@ -974,21 +1053,25 @@ GOLDEN_RUNS = {
     ("w8s", "informed_rrt_star", 1): (
         [
             (35.0, 3.1516786274435837),
-            (104.0, 2.887717374074722),
-            (232.0, 2.682765314986509),
-            (316.0, 2.4279358442887107),
+            (43.0, 3.0765244677905432),
+            (98.0, 2.276301527775698),
+            (126.0, 2.044183325185002),
+            (134.0, 1.7101118981805978),
+            (326.0, 1.676653286541233),
         ],
-        {"samples": 400, "collision_checks": 3968, "neighbor_queries": 367},
+        {"samples": 400, "collision_checks": 11406, "neighbor_queries": 351},
     ),
     ("w8s", "informed_rrt_star", 2): (
         [
             (76.0, 6.759504377123303),
-            (84.0, 5.3429691366980645),
-            (134.0, 2.3395676793734808),
-            (221.0, 1.8889408858507164),
-            (262.0, 1.7306001575347514),
+            (77.0, 4.706099794423257),
+            (82.0, 4.666050687350735),
+            (202.0, 4.413166814102896),
+            (245.0, 3.849359463891327),
+            (288.0, 3.5474638590211565),
+            (293.0, 3.1903101339328397),
         ],
-        {"samples": 400, "collision_checks": 5616, "neighbor_queries": 339},
+        {"samples": 400, "collision_checks": 1586, "neighbor_queries": 363},
     ),
     ("w8s", "rrt_connect", 1): (
         [
@@ -1005,25 +1088,21 @@ GOLDEN_RUNS = {
     ("r4", "informed_rrt_star", 1): (
         [
             (99.0, 2.2819830585834944),
-            (100.0, 2.2655425333935875),
-            (107.0, 2.1293572028379826),
-            (125.0, 1.775584150109131),
-            (132.0, 1.0461831265066641),
-            (238.0, 1.0045372209356132),
-            (253.0, 0.9597791251610172),
-            (378.0, 0.9432895585036994),
+            (106.0, 2.03635341595181),
+            (123.0, 1.6673273311577712),
+            (151.0, 1.596422870727995),
+            (226.0, 1.5490006598849868),
+            (277.0, 1.0578112624098879),
         ],
-        {"samples": 400, "collision_checks": 719, "neighbor_queries": 187},
+        {"samples": 400, "collision_checks": 601, "neighbor_queries": 185},
     ),
     ("r4", "informed_rrt_star", 2): (
         [
             (152.0, 1.8291022014725848),
-            (155.0, 1.7208990266207382),
-            (314.0, 1.6759812867609958),
-            (328.0, 1.4692708500585563),
-            (332.0, 1.41317964814009),
+            (158.0, 1.7226940581435237),
+            (291.0, 1.2561368249988305),
         ],
-        {"samples": 400, "collision_checks": 797, "neighbor_queries": 200},
+        {"samples": 400, "collision_checks": 727, "neighbor_queries": 193},
     ),
 }
 
@@ -1035,6 +1114,8 @@ class TestGoldenEventLogs:
             GOLDEN_PROBLEMS[world],
             PlannerConfig(max_iterations=GOLDEN_BUDGETS[planner], rng_seed=seed),
         )
+        first_solution = [event for event in run.events if event[0] == run.t_init]
+        assert first_solution == FIRST_SOLUTION_EVENTS[world, planner, seed]
         events, counters = GOLDEN_RUNS[world, planner, seed]
         assert run.events == events
         assert run.counters == counters

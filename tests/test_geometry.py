@@ -208,6 +208,28 @@ class TestSampleBatch:
             cut += bool(np.any(lo < 0.0) or np.any(hi > 1.0))
         assert cut >= 5
 
+    @pytest.mark.parametrize("n", range(1, 17))
+    def test_informed_draws_are_bit_identical(self, n):
+        # the rows depend on the generator's state alone: per-draw
+        # sample_informed calls equal one-row batches, and a batch drawn
+        # again from the same seed repeats, rows and final state bit for bit
+        rng = np.random.default_rng(200 + n)
+        box = HyperRectangle(np.zeros(n), np.ones(n))
+        for case in range(5):
+            fa, fb = rng.uniform(0.0, 1.0, n), rng.uniform(0.0, 1.0, n)
+            c_min = distance(fa, fb)
+            informed = InformedSet(fa, fb, c_min * float(rng.uniform(1.01, 2.0)), c_min)
+            one, rows = np.random.default_rng(case), np.random.default_rng(case)
+            want = np.array([sample_informed(informed, box, one) for _ in range(10)])
+            got = np.concatenate([sample_batch(informed, box, rows, 1) for _ in range(10)])
+            assert np.array_equal(got, want)
+            assert rows.bit_generator.state == one.bit_generator.state
+            count = int(rng.integers(1, 60))
+            first, again = np.random.default_rng(case), np.random.default_rng(case)
+            batch = sample_batch(informed, box, first, count)
+            assert np.array_equal(sample_batch(informed, box, again, count), batch)
+            assert again.bit_generator.state == first.bit_generator.state
+
     # (n, share of the set's bounding box the bounds keep below and above
     # the foci's midpoint on each axis): the bounds cut every set
     @pytest.mark.parametrize("n, below, above", [(2, 0.8, 0.5), (4, 0.8, 0.5),

@@ -33,7 +33,6 @@ from .neighbors import (
     EllipsoidRegion,
     NeighborConfig,
     coulomb_force,
-    eccentricity,
     rnn_radius,
 )
 from .planner import (
@@ -48,6 +47,6 @@ from .planner import (
     plan_rrt_connect,
 )
 from .worlds import WorldSpec, canonical_start_goal, make_problem, make_world
-from .bench import BenchmarkSuite, SummaryRow, emit_cost_traces, run_benchmark, summarize
+from .bench import BenchmarkSuite, SummaryRow, run_benchmark, summarize
 
 __version__ = "0.1.0"

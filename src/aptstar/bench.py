@@ -1,4 +1,4 @@
-"""Benchmark harness: planner x world x seed grids, summaries, cost traces.
+"""Benchmark harness: planner x world x seed grids and their summaries.
 
 Results are written as an append-only JSONL stream: one self-describing
 header line, then one record per run. Failed runs carry infinite time and
@@ -11,9 +11,6 @@ import json
 import math
 from dataclasses import dataclass, field, asdict
 from typing import Iterable, Sequence
-
-import numpy as np
-from scipy.stats import binom
 
 from .planner import PLANNERS, PlannerConfig, PlannerRun
 from .worlds import WorldSpec, make_problem
@@ -189,70 +186,3 @@ def summarize(records: Iterable[dict]) -> list[SummaryRow]:
             )
         )
     return rows
-
-
-def cost_at(events: Sequence[Sequence[float]], t: float) -> float:
-    """Piecewise-constant anytime cost: best cost achieved at or before t."""
-    best = math.inf
-    for et, ec in events:
-        if et <= t:
-            best = min(best, ec)
-    return best
-
-
-def _percentile_index(n: int, p: float) -> int:
-    return min(max(int(math.ceil(p * n)) - 1, 0), n - 1)
-
-
-def median_ci_indices(n: int, confidence: float = 0.99) -> tuple[int, int]:
-    """0-based order-statistic indices of a nonparametric CI for the median."""
-    alpha = (1.0 - confidence) / 2.0
-    lo = int(binom.ppf(alpha, n, 0.5))
-    hi = int(binom.ppf(1.0 - alpha, n, 0.5))
-    return max(lo - 1, 0), min(hi, n - 1)
-
-
-def emit_cost_traces(
-    records: Iterable[dict],
-    percentiles: Sequence[float] = (0.5,),
-    n_grid: int = 64,
-    confidence: float = 0.99,
-) -> list[dict]:
-    """Per planner x world: cost-vs-time percentiles on a log-spaced grid.
-
-    Each trace carries the requested cross-run percentile curves plus a
-    nonparametric confidence band around the median.
-    """
-    cells: dict[tuple[str, str], list[dict]] = {}
-    for rec in records:
-        cells.setdefault((rec["planner"], rec["world"]), []).append(rec)
-    traces = []
-    for (planner, world), recs in sorted(cells.items()):
-        times = [t for r in recs for t, _ in r["events"]]
-        if times:
-            t_lo = max(min(times), 1e-6)
-            t_hi = max(max(times), t_lo * (1.0 + 1e-9))
-        else:
-            t_lo, t_hi = 1e-6, 1.0
-        grid = np.geomspace(t_lo, t_hi, n_grid)
-        n = len(recs)
-        lo_i, hi_i = median_ci_indices(n, confidence)
-        curves = {f"p{int(p * 100):02d}": [] for p in percentiles}
-        band_lo, band_hi = [], []
-        for t in grid:
-            vals = sorted(cost_at(r["events"], t) for r in recs)
-            for p in percentiles:
-                curves[f"p{int(p * 100):02d}"].append(vals[_percentile_index(n, p)])
-            band_lo.append(vals[lo_i])
-            band_hi.append(vals[hi_i])
-        traces.append(
-            {
-                "planner": planner,
-                "world": world,
-                "grid": grid.tolist(),
-                **curves,
-                "ci_lo": band_lo,
-                "ci_hi": band_hi,
-            }
-        )
-    return traces

@@ -115,6 +115,12 @@ class WorldModel:
             boxes.append((cut, covered))
         object.__setattr__(self, "corner_lists", (blo, bhi, boxes))
 
+    def __getstate__(self):
+        # is_motion_valid's compiled kernel cannot be pickled; it is rebuilt
+        state = self.__dict__.copy()
+        state.pop("_motion_kernel", None)
+        return state
+
     @property
     def dimension(self) -> int:
         return self.bounds.dimension
@@ -380,75 +386,142 @@ def default_motion_resolution(world: WorldModel) -> float:
 
 
 def is_motion_valid(world: WorldModel, a: State, b: State, resolution: float) -> bool:
-    """Check the straight segment a-b at spacing <= resolution, endpoints included."""
-    if resolution <= 0.0:
+    """Check the straight segment a-b at spacing <= resolution, endpoints included.
+
+    The check runs in a kernel generated for the world (see
+    ``_compile_motion_kernel``), compiled on the world's first call and kept
+    on it.
+    """
+    if not resolution > 0.0:  # also rejects NaN
         raise ValueError("resolution must be positive")
     av = np.asarray(a, dtype=float).tolist()
     bv = np.asarray(b, dtype=float).tolist()
-    blo, bhi, boxes = world.corner_lists
-    if len(av) != len(blo) or len(bv) != len(blo):
+    n = len(world.corner_lists[0])
+    if len(av) != n or len(bv) != n:
         raise ValueError("dimensionality mismatch")
-    dv = []
-    sq = 0  # summed from int 0, left to right, as sum() does
-    for x, y, lo, hi in zip(av, bv, blo, bhi):
-        # the bounds box is convex, so endpoint containment covers the segment
-        if not (lo <= x <= hi and lo <= y <= hi):
-            return False
-        d = y - x
-        dv.append(d)
-        sq += d * d
-    if not boxes:
-        return True
-    steps = max(1, int(math.ceil(math.sqrt(sq) / resolution)))
-    for axes, covered in boxes:
-        # slab-clip the segment's parameter interval against the box, then
-        # test the discretized indices that can fall inside it; on a covered
-        # axis the clip is [<= 0, >= 1] even after rounding, so it is skipped
-        t0, t1 = 0.0, 1.0
-        for k, lo, hi in axes:
-            d = dv[k]
-            if d == 0.0:
-                if av[k] < lo or av[k] > hi:
-                    break
-            else:
-                ta = (lo - av[k]) / d
-                tb = (hi - av[k]) / d
-                if ta > tb:
-                    ta, tb = tb, ta
-                if ta > t0:
-                    t0 = ta
-                if tb < t1:
-                    t1 = tb
-                if t0 > t1:
-                    break
-        else:
-            i_lo = max(0, int(math.floor(t0 * steps)) - 1)
-            i_hi = min(steps, int(math.ceil(t1 * steps)) + 1)
-            # the t = 1 point a + (b - a) can round off a face that b lies
-            # on, so b itself is tested; b is inside the bounds, and so on
-            # every covered axis
-            if i_hi == steps:
-                for k, lo, hi in axes:
-                    if bv[k] < lo or bv[k] > hi:
-                        break
-                else:
-                    return False
-            for i in range(i_lo, i_hi + 1):
-                t = i / steps
-                for k, lo, hi in axes:
-                    p = av[k] + t * dv[k]
-                    if p < lo or p > hi:
-                        break
-                else:
-                    # a rounded point can leave the bounds, and so a covered
-                    # axis, by an ulp: confirm the hit on those axes too
-                    for k, lo, hi in covered:
-                        p = av[k] + t * dv[k]
-                        if p < lo or p > hi:
-                            break
-                    else:
-                        return False
-    return True
+    kernel = world.__dict__.get("_motion_kernel")
+    if kernel is None:
+        kernel = _compile_motion_kernel(*world.corner_lists)
+        object.__setattr__(world, "_motion_kernel", kernel)
+    return kernel(av, bv, resolution)
+
+
+def _compile_motion_kernel(blo, bhi, boxes):
+    """``kernel(av, bv, resolution)``: the segment check of one world, as a
+    function generated for its bounds and boxes and compiled.
+
+    The endpoints are unpacked into locals a0.., b0.., and the bounds are
+    inlined as constants. Boxes are grouped by their tuple of cut axes (see
+    ``WorldModel.corner_lists``); group i becomes one loop over the tuple
+    ``G<i>``, whose rows hold each box's (lo, hi) on the cut axes and then,
+    as one tuple, on the covered axes. So the code grows with the number of
+    cut-axis patterns, not with the number of boxes. Per box the kernel
+    slab-clips the segment's parameter interval against the cut axes, then
+    tests the discretized points t = i / steps that can fall inside it, and
+    confirms a hit on the covered axes. These are the float operations of a
+    plain loop over the boxes (``tests/oracles.py::motion_valid_slab``), in
+    the same order; only the order of the boxes changes, which cannot change
+    the answer, since any box hit gives False.
+    """
+    n = len(blo)
+    namespace = {"ceil": math.ceil, "floor": math.floor, "sqrt": math.sqrt}
+    a = [f"a{k}" for k in range(n)]
+    b = [f"b{k}" for k in range(n)]
+    # the bounds box is convex, so endpoint containment covers the segment
+    inside = (f"{lo!r} <= {x} <= {hi!r}" for p in (a, b) for lo, hi, x in zip(blo, bhi, p))
+    src = [
+        "def kernel(av, bv, resolution):",
+        f"    {', '.join(a)}, = av",
+        f"    {', '.join(b)}, = bv",
+        f"    if not ({' and '.join(inside)}):",
+        "        return False",
+    ]
+    groups: dict[tuple[int, ...], list[tuple]] = {}
+    for cut, covered in boxes:
+        row = tuple(v for _, lo, hi in cut for v in (lo, hi))
+        if covered:
+            row += (tuple(v for _, lo, hi in covered for v in (lo, hi)),)
+        groups.setdefault(tuple(k for k, _, _ in cut), []).append(row)
+    if not groups or () in groups:
+        # no box, or one that covers the bounds on every axis and so holds
+        # the whole segment
+        src.append(f"    return {not groups}")
+    else:
+        src += [f"    d{k} = b{k} - a{k}" for k in range(n)]
+        # the squared length summed left to right, as the plain loop does
+        src += [
+            f"    steps = ceil(sqrt({' + '.join(f'd{k} * d{k}' for k in range(n))}) / resolution)",
+            "    if steps < 1:",
+            "        steps = 1",
+        ]
+        for g, (cut, rows) in enumerate(groups.items()):
+            namespace[f"G{g}"] = tuple(rows)
+            src += _box_loop_source(f"G{g}", cut, n)
+        src.append("    return True")
+    exec(compile("\n".join(src), "<motion kernel>", "exec"), namespace)
+    return namespace["kernel"]
+
+
+def _box_loop_source(group: str, cut: tuple[int, ...], n: int) -> list[str]:
+    """The kernel's loop over the boxes of one group, whose cut axes are cut."""
+    covered = [k for k in range(n) if k not in cut]
+    names = [f"{v}{k}" for k in cut for v in "lh"]
+    src = [
+        f"    for {', '.join(names + (['cov'] if covered else []))} in {group}:",
+        "        t0 = 0.0",
+        "        t1 = 1.0",
+    ]
+    for k in cut:
+        src += [
+            f"        if d{k} == 0.0:",
+            f"            if a{k} < l{k} or a{k} > h{k}:",
+            "                continue",
+            "        else:",
+            f"            ta = (l{k} - a{k}) / d{k}",
+            f"            tb = (h{k} - a{k}) / d{k}",
+            "            if ta > tb:",
+            "                ta, tb = tb, ta",
+            "            if ta > t0:",
+            "                t0 = ta",
+            "            if tb < t1:",
+            "                t1 = tb",
+            "            if t0 > t1:",
+            "                continue",
+        ]
+    # the t = 1 point a + (b - a) can round off a face that b lies on, so b
+    # itself is tested; b is inside the bounds, and so on every covered axis
+    outside_b = " or ".join(f"b{k} < l{k} or b{k} > h{k}" for k in cut)
+    src += [
+        "        i_lo = floor(t0 * steps) - 1",
+        "        if i_lo < 0:",
+        "            i_lo = 0",
+        "        i_hi = ceil(t1 * steps) + 1",
+        "        if i_hi >= steps:",
+        "            i_hi = steps",
+        f"            if not ({outside_b}):",
+        "                return False",
+        "        for i in range(i_lo, i_hi + 1):",
+        "            t = i / steps",
+    ]
+    for k in cut:
+        src += _point_test(k)
+    if covered:
+        # a rounded point can leave the bounds, and so a covered axis, by an
+        # ulp: confirm the hit on those axes too
+        src.append(f"            {', '.join(f'{v}{k}' for k in covered for v in 'lh')} = cov")
+        for k in covered:
+            src += _point_test(k)
+    return src + ["            return False"]
+
+
+def _point_test(k: int) -> list[str]:
+    """Kernel lines that go on to the next point when the point at t lies
+    outside the box on axis k."""
+    return [
+        f"            p = a{k} + t * d{k}",
+        f"            if p < l{k} or p > h{k}:",
+        "                continue",
+    ]
 
 
 def world_to_dict(world: WorldModel) -> dict:

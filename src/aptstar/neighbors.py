@@ -149,19 +149,6 @@ def coulomb_force(
     return np.where(valid, weight, -weight) @ diff
 
 
-def eccentricity(region: EllipsoidRegion, r: float) -> float:
-    """Normalized geometric-mean eccentricity; 0 iff the region is a ball."""
-    if r <= 0.0:
-        raise ValueError("base radius must be positive")
-    if region.minor < r * (1.0 - 1e-12):
-        raise ValueError("malformed region: semi-axis below the base radius")
-    # geometric mean of one major and n - 1 minor semi-axes
-    n = np.asarray(region.center).size
-    gm = region.minor * (region.major / region.minor) ** (1.0 / n)
-    radicand = min(max(1.0 - r / gm, 0.0), 1.0 - 1e-16)
-    return math.sqrt(radicand)
-
-
 def elliptical_nn_query(
     x: State,
     kdtree: cKDTree,

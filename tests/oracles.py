@@ -255,3 +255,77 @@ def motion_valid_fine(obstacles, bounds_lo, bounds_hi, a, b, resolution) -> bool
             if all(lo[k] <= p[k] <= hi[k] for k in range(n)):
                 return False
     return True
+
+
+def motion_valid_slab(obstacles, bounds_lo, bounds_hi, a, b, resolution) -> bool:
+    """The segment check as a plain loop over the boxes: the exact answer of
+    ``is_motion_valid``, bit for bit, at the same resolution.
+
+    Per box the segment's parameter interval is slab-clipped against the
+    axes on which the box does not cover the bounds (its cut axes); then
+    the discretized points t = i / steps that can fall inside the clip are
+    tested, and a hit is confirmed on the covered axes, which a rounded
+    point can leave by an ulp. b itself is tested when the clip reaches
+    t = 1, because the point a + (b - a) can round off a face b lies on.
+    """
+    av = [float(v) for v in a]
+    bv = [float(v) for v in b]
+    blo = [float(v) for v in bounds_lo]
+    bhi = [float(v) for v in bounds_hi]
+    n = len(blo)
+    if len(av) != n or len(bv) != n:
+        raise ValueError("dimensionality mismatch")
+    if not resolution > 0.0:
+        raise ValueError("resolution must be positive")
+    dv = []
+    sq = 0
+    for x, y, lo, hi in zip(av, bv, blo, bhi):
+        # the bounds box is convex, so endpoint containment covers the segment
+        if not (lo <= x <= hi and lo <= y <= hi):
+            return False
+        d = y - x
+        dv.append(d)
+        sq += d * d
+    if not obstacles:
+        return True
+    steps = max(1, int(math.ceil(math.sqrt(sq) / resolution)))
+    for box_lo, box_hi in obstacles:
+        axes, covered = [], []
+        for k in range(n):
+            lo, hi = float(box_lo[k]), float(box_hi[k])
+            (axes if lo > blo[k] or hi < bhi[k] else covered).append((k, lo, hi))
+        t0, t1 = 0.0, 1.0
+        for k, lo, hi in axes:
+            d = dv[k]
+            if d == 0.0:
+                if av[k] < lo or av[k] > hi:
+                    break
+            else:
+                ta = (lo - av[k]) / d
+                tb = (hi - av[k]) / d
+                if ta > tb:
+                    ta, tb = tb, ta
+                if ta > t0:
+                    t0 = ta
+                if tb < t1:
+                    t1 = tb
+                if t0 > t1:
+                    break
+        else:
+            i_lo = max(0, int(math.floor(t0 * steps)) - 1)
+            i_hi = min(steps, int(math.ceil(t1 * steps)) + 1)
+            if i_hi == steps:
+                for k, lo, hi in axes:
+                    if bv[k] < lo or bv[k] > hi:
+                        break
+                else:
+                    return False
+            for i in range(i_lo, i_hi + 1):
+                t = i / steps
+                for k, lo, hi in axes + covered:
+                    p = av[k] + t * dv[k]
+                    if p < lo or p > hi:
+                        break
+                else:
+                    return False
+    return True

@@ -6,9 +6,6 @@ import pytest
 
 from aptstar.bench import (
     BenchmarkSuite,
-    cost_at,
-    emit_cost_traces,
-    median_ci_indices,
     read_results,
     run_benchmark,
     summarize,
@@ -163,40 +160,3 @@ class TestSummarize:
 
     def test_no_records_no_rows(self):
         assert summarize([]) == []
-
-
-class TestCostTraces:
-    def test_single_event(self):
-        assert cost_at([[0.1, 2.0]], 0.05) == math.inf
-        assert cost_at([[0.1, 2.0]], 0.1) == 2.0
-        assert cost_at([[0.1, 2.0]], 9.0) == 2.0
-
-    def test_single_run_trace(self):
-        traces = emit_cost_traces([record(events=[[0.1, 2.0]])])
-        trace = traces[0]
-        for t, c in zip(trace["grid"], trace["p50"]):
-            assert c == (2.0 if t >= 0.1 else math.inf)
-
-    def test_two_run_median_is_lower_middle(self):
-        recs = [
-            record(seed=0, events=[[0.1, 2.0]]),
-            record(seed=1, events=[[0.1, 4.0]]),
-        ]
-        trace = emit_cost_traces(recs)[0]
-        assert all(c == 2.0 for t, c in zip(trace["grid"], trace["p50"]) if t >= 0.1)
-
-    def test_band_equals_direct_order_stats(self):
-        recs = [record(seed=i, events=[[0.1, 1.0 + i]]) for i in range(100)]
-        trace = emit_cost_traces(recs, confidence=0.99)[0]
-        lo_i, hi_i = median_ci_indices(100, 0.99)
-        vals = sorted(1.0 + i for i in range(100))
-        t_grid = trace["grid"]
-        for k, t in enumerate(t_grid):
-            if t >= 0.1:
-                assert trace["ci_lo"][k] == vals[lo_i]
-                assert trace["ci_hi"][k] == vals[hi_i]
-
-    def test_percentile_curves(self):
-        recs = [record(seed=i, events=[[0.1, float(i)]]) for i in range(10)]
-        trace = emit_cost_traces(recs, percentiles=(0.5, 0.9))[0]
-        assert "p50" in trace and "p90" in trace

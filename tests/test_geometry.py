@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -6,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import beta, ks_2samp, kstest
 
+from aptstar import geometry
 from aptstar.geometry import (
     HyperRectangle,
     InformedSet,
@@ -27,13 +30,14 @@ from aptstar.geometry import (
     world_from_dict,
     world_to_dict,
 )
-from aptstar.worlds import WorldSpec, make_world
+from aptstar.worlds import WorldSpec, make_problem, make_world
 
 from oracles import (
     informed_bounding_box,
     informed_rejection_samples,
     mc_two_focus_volume,
     motion_valid_fine,
+    motion_valid_slab,
     state_valid,
 )
 
@@ -768,6 +772,185 @@ class TestMotionCheckDimensions:
         for world in (unit_world(), unit_world(([0.4, 0.4], [0.6, 0.6]))):
             with pytest.raises(ValueError, match="dimensionality"):
                 is_motion_valid(world, np.array(a), np.array(b), 0.01)
+
+
+class TestMotionResolution:
+    @pytest.mark.parametrize("resolution", [math.nan, 0.0, -0.0, -1.0, -math.inf])
+    def test_nan_or_non_positive_resolution_raises(self, resolution):
+        # with boxes and without: a NaN resolution once raised from int()
+        # in the first world and returned True in the second
+        a, b = np.array([0.1, 0.1]), np.array([0.9, 0.9])
+        for world in (unit_world(), unit_world(([0.4, 0.4], [0.6, 0.6]))):
+            with pytest.raises(ValueError, match="resolution must be positive"):
+                is_motion_valid(world, a, b, resolution)
+
+
+_SLAB_BOUNDS = ((0.0, 1.0), (0.1, 0.9), (-1.3, 2.7))
+
+
+@st.composite
+def slab_worlds(draw):
+    """Worlds of one to four axes whose boxes cover the bounds, reach past
+    them, touch one face or cut them, axis by axis: their cut-axis patterns
+    vary from box to box, and a box can cover every axis."""
+    n = draw(st.integers(1, 4))
+    bounds = [draw(st.sampled_from(_SLAB_BOUNDS)) for _ in range(n)]
+    unit = st.floats(0.0, 1.0)
+    obstacles = []
+    for _ in range(draw(st.integers(0, 6))):
+        box_lo, box_hi = [], []
+        for lo, hi in bounds:
+            u, v = sorted((draw(unit), draw(unit)))
+            x, y = lo + u * (hi - lo), lo + v * (hi - lo)
+            kind = draw(st.sampled_from(["cover", "beyond", "low", "high", "cut"]))
+            extent = {
+                "cover": (lo, hi),
+                "beyond": (lo - 1.0, hi + 0.5),
+                "low": (lo, y),
+                "high": (x, hi),
+                "cut": (x, y),
+            }[kind]
+            box_lo.append(extent[0])
+            box_hi.append(extent[1])
+        obstacles.append({"min": box_lo, "max": box_hi})
+    return world_from_dict({
+        "dimension": n,
+        "bounds": {"min": [lo for lo, _ in bounds], "max": [hi for _, hi in bounds]},
+        "obstacles": obstacles,
+    })
+
+
+def _draw_segment(data, world):
+    """A segment whose coordinates are face values of the bounds and boxes
+    (each also one ulp either side) or random values in and near the
+    bounds; b may equal a, or keep a's coordinate on some axes."""
+    lo, hi = world.bounds.min_corner, world.bounds.max_corner
+    faces = np.stack([lo, hi, *(c for o in world.obstacles for c in (o.min_corner, o.max_corner))])
+    faces = np.concatenate([np.nextafter(faces, -np.inf), faces, np.nextafter(faces, np.inf)])
+
+    def point():
+        return np.array([
+            data.draw(st.one_of(
+                st.sampled_from(faces[:, k].tolist()),
+                st.floats(lo[k] - 0.05 * (hi[k] - lo[k]), hi[k] + 0.05 * (hi[k] - lo[k])),
+            ))
+            for k in range(world.dimension)
+        ])
+
+    a = point()
+    shape = data.draw(st.sampled_from(["free", "a == b", "shared axes"]))
+    if shape == "a == b":
+        return a, a.copy()
+    b = point()
+    if shape == "shared axes":
+        same = np.array(data.draw(st.lists(
+            st.booleans(), min_size=world.dimension, max_size=world.dimension)))
+        b[same] = a[same]
+    return a, b
+
+
+def _assert_equals_slab_oracle(world, edges, resolution):
+    boxes = [(o.min_corner.tolist(), o.max_corner.tolist()) for o in world.obstacles]
+    lo, hi = world.bounds.min_corner.tolist(), world.bounds.max_corner.tolist()
+    got = [is_motion_valid(world, a, b, resolution) for a, b in edges]
+    want = [motion_valid_slab(boxes, lo, hi, a, b, resolution) for a, b in edges]
+    mismatches = [e for e, g, w in zip(edges, got, want) if g != w]
+    assert not mismatches, mismatches[:3]
+    return got
+
+
+class TestMotionKernelEqualsOracle:
+    """The compiled segment check gives the plain box loop's exact answer."""
+
+    @given(slab_worlds(), st.sampled_from([1e-3, 0.05, 0.37, 10.0]), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_random_worlds_and_segments(self, world, spacing, data):
+        edges = [_draw_segment(data, world) for _ in range(8)]
+        _assert_equals_slab_oracle(world, edges, spacing * world.bounds.diagonal)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_box_covering_every_axis_equals_oracle(self, n):
+        bounds = HyperRectangle([0.1] * n, [0.9] * n)
+        inner = HyperRectangle([0.4] * n, [0.6] * n)
+        for cover in (bounds, HyperRectangle([-1.0] * n, [2.0] * n)):
+            for obstacles in ((cover,), (inner, cover)):
+                world = WorldModel(bounds, obstacles)
+                edges = _face_edges(world, np.random.default_rng(n), 300)
+                edges += [(a, a.copy()) for a, _ in edges[:50]]
+                for resolution in (0.01, 10.0):
+                    got = _assert_equals_slab_oracle(world, edges, resolution)
+                    assert not any(got)
+
+    def test_several_cut_axis_patterns(self):
+        # four cut-axis patterns: a wall across axis 0 with an opening and a
+        # corner box on the lower faces (axes 0, 1), a slab across axis 2,
+        # an inner box (every axis), and a slab across axis 1 that reaches
+        # past the bounds on the other axes
+        world = world_from_dict({
+            "dimension": 3,
+            "bounds": {"min": [0.0, 0.0, 0.0], "max": [1.0, 1.0, 1.0]},
+            "obstacles": [
+                {"min": [0.45, 0.0, 0.0], "max": [0.55, 0.7, 1.0]},
+                {"min": [0.0, 0.0, 0.3], "max": [1.0, 1.0, 0.35]},
+                {"min": [0.0, 0.0, 0.0], "max": [0.2, 0.2, 1.0]},
+                {"min": [0.6, 0.6, 0.6], "max": [0.8, 0.9, 0.7]},
+                {"min": [-1.0, 0.9, -1.0], "max": [2.0, 0.95, 2.0]},
+            ],
+        })
+        rng = np.random.default_rng(4)
+        edges = _oracle_edges(world, rng, 600, 1.0) + _face_edges(world, rng, 600)
+        for resolution in (1e-3, 0.05, 10.0):
+            got = _assert_equals_slab_oracle(world, edges, resolution)
+            assert 0 < sum(got) < len(got)
+
+    def test_point_rounded_off_a_covered_axis_is_no_hit(self):
+        # at t = 1 the point a + (b - a) rounds onto the box's face on the
+        # cut axis, while b lies one ulp past it, and out of the bounds on
+        # the covered axis: that point is in no box, so the segment is free
+        world = world_from_dict({
+            "dimension": 2,
+            "bounds": {"min": [-1.3, 0.1], "max": [2.7, 0.9]},
+            "obstacles": [{"min": [0.45, 0.1], "max": [0.55, 0.9]}],
+        })
+        a = np.array([1.5983086852836992, 0.884589759840991])
+        b = np.array([0.5500000000000002, 0.1])
+        end = a + (b - a)
+        assert end[0] == 0.55 and end[1] < 0.1
+        for resolution in (0.01, 10.0):
+            assert _assert_equals_slab_oracle(world, [(a, b)], resolution) == [True]
+
+
+class TestMotionKernelCache:
+    def test_compiled_once_by_the_first_motion_check_only(self, monkeypatch):
+        sources = []
+        real = geometry._compile_motion_kernel
+        monkeypatch.setattr(
+            geometry, "_compile_motion_kernel", lambda *args: sources.append(args) or real(*args)
+        )
+        problem = make_problem(WorldSpec("dividing_wall", 4, seed=0))
+        world, a, b = problem.world, problem.start, problem.goals[0]
+        assert is_state_valid(world, a)
+        assert states_valid(world, np.stack([a, b])).all()
+        assert not sources and "_motion_kernel" not in vars(world)
+        assert not is_motion_valid(world, a, b, 0.01)
+        assert not is_motion_valid(world, b, a, 0.01)
+        assert len(sources) == 1
+
+    def test_world_pickles_after_a_motion_check(self):
+        problem = make_problem(WorldSpec("dividing_wall", 4, seed=0))
+        world = problem.world
+        edges = _face_edges(world, np.random.default_rng(6), 200)
+        want = [is_motion_valid(world, a, b, 0.01) for a, b in edges]
+        assert "_motion_kernel" in vars(world)
+        copies = (
+            pickle.loads(pickle.dumps(world)),
+            pickle.loads(pickle.dumps(problem)).world,
+            copy.deepcopy(world),
+        )
+        for other in copies:
+            assert world_to_dict(other) == world_to_dict(world)
+            assert "_motion_kernel" not in vars(other)
+            assert [is_motion_valid(other, a, b, 0.01) for a, b in edges] == want
 
 
 class TestHyperRectangleContains:

@@ -13,7 +13,6 @@ from aptstar.neighbors import (
     EllipsoidRegion,
     NeighborConfig,
     coulomb_force,
-    eccentricity,
     elliptical_nn_query,
     rnn_radius,
 )
@@ -270,31 +269,6 @@ class TestRegionAgainstFrameOracle:
             form = np.sum((local / radii) ** 2, axis=1)
             off_band = np.abs(form - 1.0) > 1e-9
             assert np.array_equal(region.contains(pts)[off_band], (form < 1.0)[off_band])
-
-
-class TestEccentricity:
-    def test_sphere(self):
-        region = EllipsoidRegion(np.zeros(2), None, 0.4, 0.4)
-        assert eccentricity(region, 0.4) == 0.0
-
-    def test_frozen_2d_value(self):
-        region = EllipsoidRegion(np.zeros(2), np.array([1.0, 0.0]), 2.0, 1.0)
-        # sqrt(1 - 1/sqrt(2)), frozen from direct evaluation
-        assert eccentricity(region, 1.0) == pytest.approx(0.5411961001461971, abs=1e-12)
-
-    def test_monotone_toward_sphere(self):
-        # major radius r (1 + k |f|) with k = 1 and r = 1, as the query sets it
-        vals = []
-        for fnorm in (1.0, 0.5, 0.1, 0.01):
-            region = EllipsoidRegion(np.zeros(2), np.array([1.0, 0.0]), 1.0 + fnorm, 1.0)
-            vals.append(eccentricity(region, 1.0))
-        assert all(b < a for a, b in zip(vals, vals[1:]))
-        assert vals[-1] < 0.1
-
-    def test_malformed_region_rejected(self):
-        region = EllipsoidRegion(np.zeros(2), np.array([1.0, 0.0]), 2.0, 1.0)
-        with pytest.raises(ValueError):
-            eccentricity(region, 1.5)
 
 
 def random_fixture(rng, n, count):

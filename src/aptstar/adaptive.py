@@ -33,19 +33,16 @@ TAYLOR_CLAMP = 1.4
 class BatchConfig:
     m_min: int = 1
     m_max: int = 199
-    n_dim: int = 2
 
     def __post_init__(self):
         if not (is_int(self.m_min) and is_int(self.m_max)):
             raise ValueError("m_min and m_max must be integers")
         if self.m_min < 1 or self.m_min >= self.m_max:
             raise ValueError("need 1 <= m_min < m_max")
-        if self.n_dim < 1:
-            raise ValueError("dimension must be positive")
 
-    @property
-    def tau(self) -> float:
-        return (self.m_max + self.m_min) / self.n_dim
+    def tau(self, n: int) -> float:
+        """Decay rate of the schedule in n dimensions."""
+        return (self.m_max + self.m_min) / n
 
     @property
     def m_default(self) -> int:
@@ -57,10 +54,7 @@ class BatchConfig:
 class BatchState:
     """Per-run scheduling state; zeta_initial is written exactly once."""
 
-    c_last: float = math.inf
     zeta_initial: float | None = None
-    zeta_current: float | None = None
-    last_batch: int | None = None
 
 
 @dataclass(frozen=True)
@@ -79,6 +73,9 @@ class ChargeConfig:
         for name in ("epsilon", "beta"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
+        # the alternate schedules divide by epsilon
+        if self.epsilon == 0.0:
+            raise ValueError("epsilon must be nonzero")
         if not is_int(self.alpha) or self.alpha < 1:
             raise ValueError("alpha must be an integer of at least 1")
         if self.schedule not in SCHEDULES:
@@ -112,7 +109,6 @@ def informed_ratio(zeta_current: float, zeta_initial: float) -> float:
 
 
 def adapt_batch_size(
-    c_last: float,
     c_current: float,
     c_min: float,
     n: int,
@@ -121,26 +117,19 @@ def adapt_batch_size(
 ) -> int:
     """Batch size for the next approximation, per the hypervolume pipeline.
 
-    On the first finite cost the initial informed measure is frozen; on each
-    improvement the measure ratio is smoothed (sigmoid, then logarithmic
-    decay) and mapped onto [m_min, m_max]. An unchanged cost reuses the
-    previous batch size without recomputation.
+    On the first call the initial informed measure is frozen; on each call
+    the measure ratio is smoothed (sigmoid, then logarithmic decay) and
+    mapped onto [m_min, m_max]. An unchanged cost gives the same batch size.
     """
     if c_current < c_min:
         raise ValueError("cost below the straight-line lower bound")
-    if math.isfinite(c_last) and c_current == c_last and state.last_batch is not None:
-        return state.last_batch
+    zeta = lebesgue_measure(c_current, c_min, n)
     if state.zeta_initial is None:
-        state.zeta_initial = lebesgue_measure(c_current, c_min, n)
-    state.zeta_current = lebesgue_measure(c_current, c_min, n)
-    g = informed_ratio(state.zeta_current, state.zeta_initial)
-    sigma = sigmoid_smooth(g)
-    theta = decay_factor(sigma, config.tau)
+        state.zeta_initial = zeta
+    sigma = sigmoid_smooth(informed_ratio(zeta, state.zeta_initial))
+    theta = decay_factor(sigma, config.tau(n))
     batch = math.floor(config.m_min + theta * (config.m_max - config.m_min))
-    batch = min(max(batch, config.m_min), config.m_max)
-    state.c_last = c_current
-    state.last_batch = batch
-    return batch
+    return min(max(batch, config.m_min), config.m_max)
 
 
 @lru_cache(maxsize=None)

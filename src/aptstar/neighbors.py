@@ -36,8 +36,8 @@ class NeighborConfig:
         # "not x >= bound" also rejects NaN
         if not 0.0 <= self.k_e < math.inf:
             raise ValueError("k_e must be nonnegative and finite")
-        if not self.k >= 0.0:
-            raise ValueError("k must be nonnegative")
+        if not 0.0 <= self.k < math.inf:
+            raise ValueError("k must be nonnegative and finite")
         if not 0.0 < self.phi_threshold <= 1.0:
             raise ValueError("phi_threshold must be in (0, 1]")
         if not self.min_pair_distance > 0.0:
@@ -159,8 +159,8 @@ def elliptical_nn_query(
     *,
     stats: dict | None = None,
     trace=None,
-) -> tuple[list[int], EllipsoidRegion | None]:
-    """Core query: (indices of the valid members, final region).
+) -> tuple[np.ndarray, EllipsoidRegion | None]:
+    """Core query: (int array of the valid members' indices, final region).
 
     The samples are the rows of ``kdtree.data`` with validity flags
     ``valid`` (a bool array), all of charge ``charge``; r is the base
@@ -188,7 +188,7 @@ def elliptical_nn_query(
     else:
         cand = _gather(x, cap, kdtree)
     if cand.size == 0:
-        return [], None
+        return cand, None
     valid_flags = valid[cand]
     # per-candidate geometry is invariant across rounds (candidates only
     # shrink), so compute distances and weights once
@@ -248,7 +248,7 @@ def elliptical_nn_query(
         if n_inside == 0:
             if trace is not None:
                 trace.write(f"{rounds} 0 0 nan {fnorm:.9e} {major / r:.9f}\n")
-            return [], _region(x, force, fnorm, major, r)
+            return cand[:0], _region(x, force, fnorm, major, r)
         if n_inside < n_total:
             cand = cand[inside]
             valid_flags = valid_flags[inside]
@@ -280,7 +280,7 @@ def elliptical_nn_query(
             # zero charge leaves the force at zero forever, so the region
             # and its membership are already at their fixed point
             break
-    return cand[valid_flags].tolist(), _region(x, force, fnorm, major, r)
+    return cand[valid_flags], _region(x, force, fnorm, major, r)
 
 
 def _round_line(

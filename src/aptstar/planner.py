@@ -15,7 +15,7 @@ import itertools
 import math
 import time
 from collections.abc import Iterator
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -74,7 +74,7 @@ class PlannerConfig:
     motion_resolution: float | None = None
     max_edge_length: float | None = None
     neighbor: NeighborConfig = field(default_factory=NeighborConfig)
-    batch: BatchConfig | None = None
+    batch: BatchConfig = field(default_factory=BatchConfig)
     charge: ChargeConfig = field(default_factory=ChargeConfig)
     rng_seed: int = 0
 
@@ -90,14 +90,24 @@ class PlannerConfig:
                 raise ValueError("max_iterations must be nonnegative")
         if not 0.0 <= self.goal_bias < 1.0:
             raise ValueError("goal_bias must be in [0, 1)")
-        if not self.rewire_factor > 0.0:
-            raise ValueError("rewire_factor must be positive")
+        # as with eta, a smaller factor would shrink the radius below the bound
+        # that asymptotic optimality asks for; a tiny one underflows the radii
+        if not self.rewire_factor >= 1.0:
+            raise ValueError("rewire_factor must be at least 1")
         if not self.eta >= 1.0:
             raise ValueError("eta must be at least 1")
-        for name in ("motion_resolution", "max_edge_length"):
-            value = getattr(self, name)
-            if value is not None and not value > 0.0:
-                raise ValueError(f"{name} must be positive")
+        # a segment check at infinite spacing tests only the end points
+        if self.motion_resolution is not None and not 0.0 < self.motion_resolution < math.inf:
+            raise ValueError("motion_resolution must be positive and finite")
+        if self.max_edge_length is not None and not self.max_edge_length > 0.0:
+            raise ValueError("max_edge_length must be positive")
+        if not (is_int(self.rng_seed) and self.rng_seed >= 0):
+            raise ValueError("rng_seed must be a nonnegative integer")
+        for name, kind in (
+            ("neighbor", NeighborConfig), ("batch", BatchConfig), ("charge", ChargeConfig)
+        ):
+            if not isinstance(getattr(self, name), kind):
+                raise ValueError(f"{name} must be a {kind.__name__}")
 
 
 @dataclass
@@ -419,12 +429,11 @@ class _AptRun(_Run):
                 self.rewire(v, region.scaled(self.config.rewire_factor), tree_kd)
         return True
 
-    def expand(self, v: int, nbrs: list[int]) -> None:
-        """Connect v to its unconnected pool neighbors, nearest first."""
+    def expand(self, v: int, nbrs: np.ndarray) -> None:
+        """Connect v to its unconnected pool neighbors (an index array), nearest first."""
         tree = self.tree
         xv = tree.states[v]
-        cand = np.array(nbrs, dtype=int)
-        cand = cand[cand < len(self.pool)]
+        cand = nbrs[nbrs < len(self.pool)]
         cand = cand[~self.connected[cand]]
         rel = self.pool[cand] - xv
         dvec = np.sqrt(np.einsum("ij,ij->i", rel, rel))
@@ -530,8 +539,6 @@ def plan_apt(
     With adaptive=False every batch has m_default samples and zero charge,
     so every region is the r-ball: the fixed-batch isotropic ablation.
     """
-    n = problem.world.dimension
-    batch_cfg = replace(config.batch or BatchConfig(), n_dim=n)
     batch_state = BatchState()
     run = _AptRun(problem, config)
 
@@ -541,11 +548,11 @@ def plan_apt(
             break
         if math.isfinite(run.c_best) and adaptive:
             batch = adapt_batch_size(
-                batch_state.c_last, run.c_best, problem.c_min, n, batch_cfg, batch_state
+                run.c_best, problem.c_min, problem.world.dimension, config.batch, batch_state
             )
         else:
-            batch = batch_cfg.m_default
-        charge = vertex_charge(batch, config.charge, batch_cfg) if adaptive else 0.0
+            batch = config.batch.m_default
+        charge = vertex_charge(batch, config.charge, config.batch) if adaptive else 0.0
         run.counters["batches"] += 1
         run.sample(batch)
         finished = run.search(batch, charge)

@@ -189,16 +189,15 @@ def test_criterion_05_schedule_pipeline_monotonicity(capsys):
     zeta_rewrites = 0
     for _ in range(1000):
         n = int(rng.integers(2, 9))
-        cfg = BatchConfig(n_dim=n)
+        cfg = BatchConfig()
         state = BatchState()
         c_min = float(rng.uniform(0.5, 1.5))
         length = int(rng.integers(2, 9))
         costs = np.sort(rng.uniform(c_min * 1.0001, c_min * 4.0, length))[::-1]
         last = None
-        c_last = math.inf
         frozen = None
         for c in costs:
-            b = adapt_batch_size(c_last, float(c), c_min, n, cfg, state)
+            b = adapt_batch_size(float(c), c_min, n, cfg, state)
             if not (cfg.m_min <= b <= cfg.m_max):
                 violations += 1
             if last is not None and b > last:
@@ -208,7 +207,6 @@ def test_criterion_05_schedule_pipeline_monotonicity(capsys):
             elif state.zeta_initial != frozen:
                 zeta_rewrites += 1
             last = b
-            c_last = float(c)
     ok = violations == 0 and zeta_rewrites == 0
     report(
         capsys, 5,
@@ -220,7 +218,7 @@ def test_criterion_05_schedule_pipeline_monotonicity(capsys):
 
 
 def test_criterion_06_endpoint_contracts(capsys):
-    batch_cfg = BatchConfig(m_min=1, m_max=199, n_dim=2)
+    batch_cfg = BatchConfig(m_min=1, m_max=199)
     charge_cfg = ChargeConfig()
     q_mid = vertex_charge(100, charge_cfg, batch_cfg)
     q_dense = vertex_charge(199, charge_cfg, batch_cfg)

@@ -1,4 +1,5 @@
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -85,38 +86,36 @@ class TestInformedRatio:
 
 class TestAdaptBatchSize:
     def test_first_solution_4d(self):
-        cfg = BatchConfig(m_min=1, m_max=199, n_dim=4)
+        cfg = BatchConfig(m_min=1, m_max=199)
         state = BatchState()
-        batch = adapt_batch_size(math.inf, 2.0, 1.0, 4, cfg, state)
+        batch = adapt_batch_size(2.0, 1.0, 4, cfg, state)
         # G=1, sigma = 1/(1+e^-5), theta = ln(50 sigma + 1)/ln 51, floor
         assert batch == 198
 
     def test_endpoint_formula(self):
-        cfg = BatchConfig(m_min=1, m_max=199, n_dim=2)
+        cfg = BatchConfig(m_min=1, m_max=199)
         # theta=1 and theta=0 map onto m_max and m_min respectively
         assert math.floor(cfg.m_min + 1.0 * (cfg.m_max - cfg.m_min)) == cfg.m_max
         assert math.floor(cfg.m_min + 0.0 * (cfg.m_max - cfg.m_min)) == cfg.m_min
 
     def test_equal_cost_reuses_batch(self):
-        cfg = BatchConfig(n_dim=2)
+        cfg = BatchConfig()
         state = BatchState()
-        b1 = adapt_batch_size(math.inf, 2.0, 1.0, 2, cfg, state)
-        b2 = adapt_batch_size(2.0, 2.0, 1.0, 2, cfg, state)
+        b1 = adapt_batch_size(2.0, 1.0, 2, cfg, state)
+        b2 = adapt_batch_size(2.0, 1.0, 2, cfg, state)
         assert b1 == b2
-        assert state.zeta_current == lebesgue_measure(2.0, 1.0, 2)
 
     def test_cost_below_bound_rejected(self):
-        cfg = BatchConfig(n_dim=2)
         with pytest.raises(ValueError):
-            adapt_batch_size(math.inf, 0.5, 1.0, 2, cfg, BatchState())
+            adapt_batch_size(0.5, 1.0, 2, BatchConfig(), BatchState())
 
     def test_zeta_initial_written_once(self):
-        cfg = BatchConfig(n_dim=3)
+        cfg = BatchConfig()
         state = BatchState()
-        adapt_batch_size(math.inf, 3.0, 1.0, 3, cfg, state)
+        adapt_batch_size(3.0, 1.0, 3, cfg, state)
         frozen = state.zeta_initial
         for c in (2.5, 2.0, 1.5, 1.2):
-            adapt_batch_size(state.c_last, c, 1.0, 3, cfg, state)
+            adapt_batch_size(c, 1.0, 3, cfg, state)
             assert state.zeta_initial == frozen
 
     @given(st.integers(0, 10_000))
@@ -124,19 +123,17 @@ class TestAdaptBatchSize:
     def test_pipeline_monotonicity(self, seed):
         rng = np.random.default_rng(seed)
         n = int(rng.integers(2, 9))
-        cfg = BatchConfig(n_dim=n)
+        cfg = BatchConfig()
         state = BatchState()
         c_min = float(rng.uniform(0.5, 1.5))
         costs = np.sort(rng.uniform(c_min * 1.0001, c_min * 4.0, 8))[::-1]
         last = None
-        c_last = math.inf
         for c in costs:
-            b = adapt_batch_size(c_last, float(c), c_min, n, cfg, state)
+            b = adapt_batch_size(float(c), c_min, n, cfg, state)
             assert cfg.m_min <= b <= cfg.m_max
             if last is not None:
                 assert b <= last
             last = b
-            c_last = float(c)
 
 
 class TestBernoulli:
@@ -202,7 +199,7 @@ class TestTanhTaylorCharge:
 
 
 class TestVertexCharge:
-    BATCH = BatchConfig(m_min=1, m_max=199, n_dim=2)
+    BATCH = BatchConfig(m_min=1, m_max=199)
 
     def test_midpoint(self):
         cfg = ChargeConfig()
@@ -294,7 +291,14 @@ class TestConfigs:
         assert cfg.m_default == 100
 
     def test_tau(self):
-        assert BatchConfig(m_min=1, m_max=199, n_dim=4).tau == 50.0
+        assert BatchConfig(m_min=1, m_max=199).tau(4) == 50.0
+
+    def test_schedule_takes_its_dimension_per_call(self):
+        # the dimension is an argument of adapt_batch_size, not a setting
+        assert [f.name for f in fields(BatchConfig)] == ["m_min", "m_max"]
+        assert [f.name for f in fields(BatchState)] == ["zeta_initial"]
+        with pytest.raises(TypeError, match="n_dim"):
+            BatchConfig(n_dim=4)
 
     def test_charge_config_validation(self):
         with pytest.raises(ValueError):
@@ -310,6 +314,9 @@ class TestConfigs:
             ("q_min", math.nan),
             ("epsilon", math.nan),
             ("epsilon", math.inf),
+            # the alternate schedules divide by epsilon
+            ("epsilon", 0.0),
+            ("epsilon", False),
             ("beta", math.nan),
             ("beta", -math.inf),
             ("alpha", 2.5),

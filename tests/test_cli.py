@@ -95,10 +95,15 @@ class TestPlan:
             ({"charge.epsilon": float("nan")}, "epsilon must be finite"),
             ({"charge.q_max": float("inf")}, "q_max finite"),
             ({"batch": {"m_min": 1, "m_max": 199.5}}, "m_min and m_max must be integers"),
+            # the batch schedule takes its dimension from the world
+            ({"batch.n_dim": 4}, "n_dim"),
+            ({"neighbor.k": float("inf")}, "k must be nonnegative and finite"),
+            ({"motion_resolution": float("inf")}, "motion_resolution must be positive and finite"),
         ],
     )
     def test_bad_charge_or_batch_config_exit_2(self, tmp_path, capsys, config, message):
-        # each used to pass construction and fail inside the first batch
+        # each used to pass construction and fail inside the first batch, or
+        # (batch.n_dim) be ignored
         world = tmp_path / "w.json"
         run_cli("worldgen", "--family", "dw", "--dim", "2", "--out", str(world))
         cfg = tmp_path / "cfg.json"
@@ -107,6 +112,14 @@ class TestPlan:
         assert run_cli("plan", "--world", str(world), "--planner", "apt",
                        "--config", str(cfg), "--max-iters", "3") == 2
         assert message in capsys.readouterr().err
+
+    def test_negative_seed_exit_2(self, tmp_path, capsys):
+        world = tmp_path / "w.json"
+        run_cli("worldgen", "--family", "empty", "--dim", "2", "--out", str(world))
+        capsys.readouterr()
+        assert run_cli("plan", "--world", str(world), "--planner", "apt",
+                       "--max-iters", "1", "--seed", "-1") == 2
+        assert "rng_seed must be a nonnegative integer" in capsys.readouterr().err
 
 
 class TestBenchAndSummarize:
@@ -130,6 +143,27 @@ class TestBenchAndSummarize:
         table = capsys.readouterr().out
         assert "apt" in table and "bit" in table
         assert "0.9000" in table
+
+    @pytest.mark.parametrize("seed_base", [-1, 1.5])
+    def test_bad_seed_base_exit_2(self, tmp_path, capsys, seed_base):
+        # the seeded configs are built before any run, outside the per-run
+        # error capture, so a bad seed stops the suite instead of being
+        # recorded as a failed run
+        suite = tmp_path / "suite.json"
+        suite.write_text(json.dumps({
+            "suite": "mini",
+            "trials": 1,
+            "seed_base": seed_base,
+            "worlds": [{"family": "empty", "dimension": 2}],
+            "planners": [{"id": "apt", "config": {"max_iterations": 1}}],
+        }))
+        out_dir = tmp_path / "results"
+        capsys.readouterr()
+        assert run_cli("bench", "--suite", str(suite), "--out", str(out_dir)) == 2
+        assert "rng_seed must be a nonnegative integer" in capsys.readouterr().err
+        # the header only: no run was recorded
+        records = (out_dir / "mini.results.jsonl").read_text().splitlines()
+        assert len(records) == 1 and "format" in json.loads(records[0])
 
     def test_summarize_missing_dir(self, tmp_path):
         assert run_cli("summarize", "--in", str(tmp_path)) == 2

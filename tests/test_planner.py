@@ -4,8 +4,10 @@ import time
 import numpy as np
 import pytest
 
+from aptstar.adaptive import BatchConfig, ChargeConfig
 from aptstar.cli import main
 from aptstar.geometry import HyperRectangle, ProblemInstance, WorldModel, distance
+from aptstar.neighbors import NeighborConfig
 from aptstar.planner import (
     PLANNERS,
     PlannerConfig,
@@ -75,11 +77,27 @@ class TestPlannerConfig:
             {"max_iterations": 5, "motion_resolution": -0.01},
             {"max_iterations": 5, "eta": 0.5},
             {"max_iterations": 5, "eta": math.nan},
+            {"max_iterations": 5, "rewire_factor": 0.5},
+            {"max_iterations": 5, "rewire_factor": 5e-324},
+            {"max_iterations": 5, "motion_resolution": math.inf},
+            {"max_iterations": 5, "motion_resolution": math.nan},
+            {"max_iterations": 5, "rng_seed": -1},
+            {"max_iterations": 5, "rng_seed": 1.5},
+            {"max_iterations": 5, "rng_seed": 2.0},
+            {"max_iterations": 5, "rng_seed": None},
+            {"max_iterations": 5, "rng_seed": True},
+            {"max_iterations": 5, "batch": None},
         ],
     )
     def test_invalid_settings_rejected(self, kwargs):
         with pytest.raises(ValueError):
             PlannerConfig(**kwargs)
+
+    def test_batch_defaults_like_the_other_sub_configs(self):
+        config = PlannerConfig(max_iterations=1)
+        assert config.batch == BatchConfig()
+        assert config.neighbor == NeighborConfig()
+        assert config.charge == ChargeConfig()
 
     def test_zero_budgets_accepted(self):
         assert PlannerConfig(max_time=0.0).max_time == 0.0
@@ -114,7 +132,7 @@ class TestPlannerConfig:
         code = main(["plan", "--world", str(world), "--planner", "apt",
                      "--max-iters", "2", "--config", str(config)])
         assert code == 2
-        assert "rewire_factor must be positive" in capsys.readouterr().err
+        assert "rewire_factor must be at least 1" in capsys.readouterr().err
 
     def test_cli_exits_2_on_negative_edge_length(self, tmp_path, capsys):
         world = tmp_path / "w.json"

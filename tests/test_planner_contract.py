@@ -3,12 +3,16 @@
 Every planner, on every generated problem, must return a path that the
 independent fine checker accepts, whose length is its reported final cost,
 that costs no less than the straight-line bound (and, in 2-D, the visibility
-graph optimum), and whose improvement events strictly decrease.
+graph optimum), and whose improvement events strictly decrease. A config
+fuzz holds every config to the same contract, or to a ValueError at
+construction that names the offending field.
 """
+import dataclasses
 import math
+import re
 
 import numpy as np
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, Phase, given, note, settings
 from hypothesis import strategies as st
 
 from aptstar.geometry import (
@@ -18,7 +22,10 @@ from aptstar.geometry import (
     default_motion_resolution,
     is_state_valid,
 )
+from aptstar.adaptive import SCHEDULES, BatchConfig, ChargeConfig
+from aptstar.neighbors import NeighborConfig
 from aptstar.planner import PLANNERS, PlannerConfig
+from aptstar.worlds import WorldSpec, make_problem
 
 from oracles import euclid, motion_valid_fine, visibility_shortest_path
 
@@ -115,3 +122,102 @@ def test_planner_output_contract(seed, planner):
     run = PLANNERS[planner](problem, config)
     assert contract_violations(problem, run) == []
     assert math.isfinite(run.c_final) == run.success
+
+
+WALL = make_problem(WorldSpec("dividing_wall", 2, seed=0))
+WALL_RESOLUTION = default_motion_resolution(WALL.world)
+SUB_CONFIGS = {"neighbor": NeighborConfig, "batch": BatchConfig, "charge": ChargeConfig}
+# in-range values of every other field, bounded so that a plan takes milliseconds;
+# both budgets are always set, and a plan runs at most FUZZ_BUDGETS[planner]
+# iterations: apt's second batch is its first adaptive one.
+# A plan's work grows with the inverse of the spacing, the edge length and the
+# pair distance, so these are drawn from floors up; subnormal values of them
+# overflow or never end (rrt_connect's connect loop makes no progress)
+IN_RANGE = {
+    PlannerConfig: {
+        "max_time": st.none() | st.floats(0.0, 10.0),
+        "max_iterations": st.integers(0, 200),
+        "goal_bias": st.floats(0.0, 1.0, exclude_max=True),
+        "eta": st.floats(1.0, 3.0),
+        "rewire_factor": st.floats(1.0, 3.0),
+        "motion_resolution": st.none() | st.floats(WALL_RESOLUTION / 4, WALL_RESOLUTION),
+        "max_edge_length": st.none() | st.floats(0.01, 2.0),
+        "rng_seed": st.integers(0, 2**64),
+    },
+    NeighborConfig: {
+        "k_e": st.floats(0.0, 3.0),
+        "k": st.floats(0.0, 3.0),
+        "phi_threshold": st.floats(0.0, 1.0, exclude_min=True),
+        "max_shrink_rounds": st.integers(1, 32),
+        "min_pair_distance": st.floats(1e-9, 0.1),
+        "max_prolongation": st.floats(1.0, 5.0),
+    },
+    BatchConfig: {"m_min": st.integers(1, 50), "m_max": st.integers(51, 250)},
+    ChargeConfig: {
+        "q_min": st.floats(0.0, 1.0),
+        "q_max": st.floats(1.01, 3.0),
+        "epsilon": st.floats(-10.0, 10.0).filter(lambda v: v != 0.0),
+        "beta": st.floats(-2.0, 2.0),
+        "alpha": st.integers(1, 30),
+        "schedule": st.sampled_from(SCHEDULES),
+    },
+}
+FUZZ_BUDGETS = {"apt": 2, "bit": 1, "informed_rrt_star": 100, "rrt_connect": 100}
+# out of range, not finite, a bool, or a float for an integer field
+ODD = (math.nan, math.inf, -math.inf, True, False, -1, 3.0)
+
+
+def test_config_fuzz_covers_every_field():
+    for cls, fields in IN_RANGE.items():
+        extra = SUB_CONFIGS if cls is PlannerConfig else {}
+        assert {f.name for f in dataclasses.fields(cls)} == set(fields) | set(extra)
+
+
+def build(drawn, poke=None):
+    """The PlannerConfig of the drawn fields, with poke = (class, field, value)
+    replacing one of them."""
+
+    def make(cls, **subs):
+        kwargs = {**drawn[cls], **subs}
+        if poke is not None and poke[0] is cls:
+            kwargs[poke[1]] = poke[2]
+        return cls(**kwargs)
+
+    return make(PlannerConfig, **{name: make(cls) for name, cls in SUB_CONFIGS.items()})
+
+
+def assert_plans_keep_the_contract(config):
+    # a coarser finite spacing may legitimately step over the thin wall
+    spacing = config.motion_resolution
+    if spacing is not None and WALL_RESOLUTION < spacing < math.inf:
+        return
+    for planner, budget in FUZZ_BUDGETS.items():
+        budgeted = dataclasses.replace(config, max_iterations=min(config.max_iterations, budget))
+        run = PLANNERS[planner](WALL, budgeted)
+        assert contract_violations(WALL, run) == [], (planner, config)
+
+
+# no shrinking: each example already tries every field, and notes the one that failed
+@settings(
+    max_examples=2, deadline=None, derandomize=True, phases=[Phase.generate],
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(data=st.data())
+def test_config_fuzz(data):
+    """Each field set to each odd value, on drawn in-range values of the rest:
+    construction raises a ValueError that names the field, or the config plans
+    within the contract on a 2-D wall."""
+    drawn = {cls: data.draw(st.fixed_dictionaries(fields)) for cls, fields in IN_RANGE.items()}
+    assert_plans_keep_the_contract(build(drawn))
+    for cls, fields in IN_RANGE.items():
+        names = [*fields, *SUB_CONFIGS] if cls is PlannerConfig else list(fields)
+        for name in names:
+            odd = (None, *ODD) if name in SUB_CONFIGS else ODD
+            for value in odd:
+                try:
+                    config = build(drawn, (cls, name, value))
+                except ValueError as exc:
+                    assert re.search(rf"\b{name}\b", str(exc)), (cls.__name__, name, value, exc)
+                    continue
+                note(f"{cls.__name__}.{name} = {value!r}")
+                assert_plans_keep_the_contract(config)

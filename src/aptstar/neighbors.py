@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 # no query builds a frame; orthonormal_basis stays importable from here because
 # perfbench/layers.py times its "geometry.frame" layer under this name
@@ -117,17 +116,14 @@ def rnn_radius(
     )
 
 
-def _weights(
-    diff: np.ndarray, ke_q2: float, config: NeighborConfig
-) -> tuple[np.ndarray, np.ndarray]:
-    """Squared lengths of the offsets diff and the force weight of each.
+def _weights(d2: np.ndarray, n: int, ke_q2: float, config: NeighborConfig) -> np.ndarray:
+    """The force weight of each sample at squared distance d2 in n dimensions.
 
     A sample at offset y with d = max(|y|, min_pair_distance) contributes
     k_e q^2 / d^(n-1) along y / d, so its weight on y is k_e q^2 / d^n.
     """
-    d2 = np.einsum("ij,ij->i", diff, diff)
     d = np.maximum(np.sqrt(d2), config.min_pair_distance)
-    return d2, ke_q2 / d ** (diff.shape[1] - 1) / d
+    return ke_q2 / d ** (n - 1) / d
 
 
 def coulomb_force(
@@ -145,13 +141,14 @@ def coulomb_force(
     """
     x = np.asarray(x, dtype=float)
     diff = np.asarray(positions, dtype=float) - x
-    _, weight = _weights(diff, config.k_e * charge * charge, config)
+    d2 = np.einsum("ij,ij->i", diff, diff)
+    weight = _weights(d2, diff.shape[1], config.k_e * charge * charge, config)
     return np.where(valid, weight, -weight) @ diff
 
 
 def elliptical_nn_query(
     x: State,
-    kdtree: cKDTree,
+    points: np.ndarray,
     valid: np.ndarray,
     r: float,
     config: NeighborConfig,
@@ -162,38 +159,45 @@ def elliptical_nn_query(
 ) -> tuple[np.ndarray, EllipsoidRegion | None]:
     """Core query: (int array of the valid members' indices, final region).
 
-    The samples are the rows of ``kdtree.data`` with validity flags
-    ``valid`` (a bool array), all of charge ``charge``; r is the base
-    radius of the batch. Candidates start as the samples within
-    max_prolongation * r of x (a superset of anything the region can ever
-    contain), or within r when the charge is zero and the region can only
-    be the r-ball; the virtual force is accumulated over the surviving
-    candidates each round and membership retested until the invalid ratio
-    drops below phi_threshold or the round bound is hit. Invalid samples
-    are stripped from the result.
+    The samples are the rows of the (m, n) array ``points`` with validity
+    flags ``valid`` (a bool array), all of charge ``charge``; r is the base
+    radius of the batch. Candidates start as the samples at offsets y from
+    x with |y|^2 <= reach^2, in index order: reach is max_prolongation * r
+    (a superset of anything the region can ever contain), or r when the
+    charge is zero and the region can only be the r-ball. The virtual force
+    is accumulated over the surviving candidates each round and membership
+    retested until the invalid ratio drops below phi_threshold or the round
+    bound is hit. Invalid samples are stripped from the result. With
+    ``stats``, the rounds run are added to ``stats["shrink_rounds"]``;
+    ``trace`` receives one line per round.
     """
     x = np.asarray(x, dtype=float)
     n = x.size
     # the cap on the major radius, so no region reaches farther
     cap = r * config.max_prolongation
     ke_q2 = config.k_e * charge * charge
+    offsets = points - x
+    dist2 = np.einsum("ij,ij->i", offsets, offsets)
     if ke_q2 == 0.0:
         # the force stays zero, so the region is the r-ball; the margin keeps
-        # points the ball test admits inside the index's distance cut
-        cand = _gather(x, r * (1.0 + 1e-9), kdtree)
+        # every point the ball test admits
+        ball = r * (1.0 + 1e-9)
+        cand = (dist2 <= ball * ball).nonzero()[0]
         if cand.size == 0:
             # whether anything lies within the cap still decides between no
             # round and one empty round
-            cand = _gather(x, cap, kdtree)
+            cand = (dist2 <= cap * cap).nonzero()[0]
     else:
-        cand = _gather(x, cap, kdtree)
+        cand = (dist2 <= cap * cap).nonzero()[0]
     if cand.size == 0:
         return cand, None
     valid_flags = valid[cand]
     # per-candidate geometry is invariant across rounds (candidates only
-    # shrink), so compute distances and weights once
-    diff = kdtree.data[cand] - x
-    d2, weight = _weights(diff, ke_q2, config)
+    # shrink), so gather offsets and signed weights once
+    diff = offsets[cand]
+    d2 = dist2[cand]
+    weight = _weights(d2, n, ke_q2, config)
+    signed = np.where(valid_flags, weight, -weight)
     r2 = r * r
     # Every region contains the open r-ball, so once all candidates lie
     # inside it (with a margin for rounding in the membership test) no later
@@ -211,7 +215,7 @@ def elliptical_nn_query(
     rounds = 0
     while phi >= config.phi_threshold and rounds < config.max_shrink_rounds:
         if step is None:
-            step = np.where(valid_flags, weight, -weight) @ diff
+            step = signed @ diff
         if final:
             # phi can no longer change, so this round is the last if it ends
             # the loop, or if the charge is zero and the force stays zero;
@@ -220,8 +224,6 @@ def elliptical_nn_query(
             phi = n_invalid / n_total
             stop = phi < config.phi_threshold or ke_q2 == 0.0
             last = rounds + 1 if stop else config.max_shrink_rounds
-            if stats is not None:
-                stats["shrink_rounds"] = stats.get("shrink_rounds", 0) + last - rounds
             for rounds in range(rounds + 1, last + 1):
                 force = force + step
                 if trace is not None:
@@ -232,32 +234,37 @@ def elliptical_nn_query(
             major = min(r * (1.0 + config.k * fnorm), cap)
             break
         rounds += 1
-        if stats is not None:
-            stats["shrink_rounds"] = stats.get("shrink_rounds", 0) + 1
         force = force + step
         fnorm = math.sqrt(float(force @ force))
         major = min(r * (1.0 + config.k * fnorm), cap)
         if fnorm > 0.0:
-            # prolate test in closed form: every minor semi-axis is r
+            # prolate test in closed form: every minor semi-axis is r;
+            # form = (p / major)^2 + (d2 - p^2) / r2
             p = diff @ (force / fnorm)
-            form = (p / major) ** 2 + (d2 - p * p) / r2
+            form = p / major
+            form *= form
+            rest = p * p
+            np.subtract(d2, rest, out=rest)
+            rest /= r2
+            form += rest
             inside = form < 1.0
         else:
             inside = np.einsum("ij,ij->i", diff / r, diff / r) < 1.0
-        n_inside = int(np.count_nonzero(inside))
-        if n_inside == 0:
+        keep = inside.nonzero()[0]
+        if keep.size == 0:
             if trace is not None:
                 trace.write(f"{rounds} 0 0 nan {fnorm:.9e} {major / r:.9f}\n")
+            _count_rounds(stats, rounds)
             return cand[:0], _region(x, force, fnorm, major, r)
-        if n_inside < n_total:
-            cand = cand[inside]
-            valid_flags = valid_flags[inside]
-            diff = diff[inside]
-            weight = weight[inside]
-            d2 = d2[inside]
+        if keep.size < n_total:
+            cand = cand[keep]
+            valid_flags = valid_flags[keep]
+            diff = diff[keep]
+            signed = signed[keep]
+            d2 = d2[keep]
             step = None
             checked = False
-            n_total = n_inside
+            n_total = keep.size
             n_invalid = int(np.count_nonzero(~valid_flags))
             final = bool((d2 < ball2).all())
         elif (
@@ -280,7 +287,13 @@ def elliptical_nn_query(
             # zero charge leaves the force at zero forever, so the region
             # and its membership are already at their fixed point
             break
+    _count_rounds(stats, rounds)
     return cand[valid_flags], _region(x, force, fnorm, major, r)
+
+
+def _count_rounds(stats: dict | None, rounds: int) -> None:
+    if stats is not None:
+        stats["shrink_rounds"] = stats.get("shrink_rounds", 0) + rounds
 
 
 def _round_line(
@@ -289,11 +302,6 @@ def _round_line(
     """One round's trace line: the round, the candidates and the invalid ones
     left, phi, the force's norm and the major radius over r."""
     return f"{rounds} {n_total} {n_invalid} {phi:.9f} {fnorm:.9e} {ratio:.9f}\n"
-
-
-def _gather(x: State, reach: float, kdtree: cKDTree) -> np.ndarray:
-    """Sorted indices of the indexed points within reach of x."""
-    return np.sort(np.asarray(kdtree.query_ball_point(x, reach), dtype=int))
 
 
 def _settled(

@@ -391,7 +391,9 @@ class _AptRun(_Run):
         """Expand vertices best-first until none can improve the solution;
         False when the time budget ran out first."""
         tree, n = self.tree, self.world.dimension
-        kdtree = cKDTree(np.vstack([self.pool, tree.positions]))
+        # the query gathers from the batch's points: the pool, then the tree
+        # as the batch began
+        points = np.vstack([self.pool, tree.positions])
         # rewiring never re-hangs the root, so a batch that starts with the
         # root alone has nothing to rewire
         tree_kd = cKDTree(tree.positions) if len(tree) > 1 else None
@@ -420,7 +422,7 @@ class _AptRun(_Run):
             processed[v] = tree.g[v]
             self.counters["neighbor_queries"] += 1
             nbrs, region = elliptical_nn_query(
-                tree.states[v], kdtree, valid, r, self.config.neighbor, charge,
+                tree.states[v], points, valid, r, self.config.neighbor, charge,
                 stats=self.nn_stats,
             )
             self.expand(v, nbrs)
@@ -608,12 +610,15 @@ def plan_rrt_connect(problem: ProblemInstance, config: PlannerConfig) -> Planner
             current = int(d_b.argmin())
             d = float(d_b[current])
             reached = False
-            while True:
+            while not run.out_of_time():
                 x_step = _steer(tb.states[current], x_new, d, max_edge)
+                d_step = distance(x_step, x_new)
+                if d_step >= d > 0.0:
+                    break  # the step moved nothing: max_edge is below an ulp here
                 if not (is_state_valid(world, x_step) and motion_ok(tb.states[current], x_step)):
                     break
                 current = tb.add(x_step, current, _dist(tb.states[current], x_step))
-                d = distance(x_step, x_new)
+                d = d_step
                 if d <= _EPS:
                     reached = True
                     break

@@ -329,3 +329,119 @@ def motion_valid_slab(obstacles, bounds_lo, bounds_hi, a, b, resolution) -> bool
                 else:
                     return False
     return True
+
+
+def elliptical_nn_kd(x, kdtree, valid, r, config, charge, *, stats=None):
+    """The elliptical neighbor query as it ran on a ``scipy.spatial.cKDTree``,
+    float operation for float operation: (sorted int array of the valid
+    members' indices, (axis or None, major, minor) or None).
+
+    Candidates are ``kdtree.query_ball_point(x, reach)``, sorted, with reach
+    ``max_prolongation * r``, or ``r * (1 + 1e-9)`` at zero charge when that
+    finds anything; rounds are counted into ``stats["shrink_rounds"]`` and
+    settled candidate sets into ``stats["settled"]``. Only at points within
+    rounding of the reach sphere can the tree's answer differ from the
+    ``|y|^2 <= reach^2`` gather, because its node pruning decides there.
+    """
+    x = np.asarray(x, dtype=float)
+    n = x.size
+    cap = r * config.max_prolongation
+    ke_q2 = config.k_e * charge * charge
+
+    def gather(reach):
+        return np.sort(np.asarray(kdtree.query_ball_point(x, reach), dtype=int))
+
+    def count(key, value):
+        if stats is not None:
+            stats[key] = stats.get(key, 0) + value
+
+    def region(force, fnorm, major):
+        return (force / fnorm if fnorm > 0.0 else None, major, r)
+
+    if ke_q2 == 0.0:
+        cand = gather(r * (1.0 + 1e-9))
+        if cand.size == 0:
+            cand = gather(cap)
+    else:
+        cand = gather(cap)
+    if cand.size == 0:
+        return cand, None
+    valid_flags = valid[cand]
+    diff = kdtree.data[cand] - x
+    d2 = np.einsum("ij,ij->i", diff, diff)
+    d = np.maximum(np.sqrt(d2), config.min_pair_distance)
+    weight = ke_q2 / d ** (n - 1) / d
+    r2 = r * r
+    ball2 = r2 * (1.0 - 1e-9)
+    final = bool((d2 < ball2).all())
+    force = np.zeros(n)
+    step = None
+    checked = False
+    n_total = cand.size
+    n_invalid = int(np.count_nonzero(~valid_flags))
+    phi = 1.0
+    rounds = 0
+    while phi >= config.phi_threshold and rounds < config.max_shrink_rounds:
+        if step is None:
+            step = np.where(valid_flags, weight, -weight) @ diff
+        if final:
+            phi = n_invalid / n_total
+            stop = phi < config.phi_threshold or ke_q2 == 0.0
+            last = rounds + 1 if stop else config.max_shrink_rounds
+            count("shrink_rounds", last - rounds)
+            for rounds in range(rounds + 1, last + 1):
+                force = force + step
+            fnorm = math.sqrt(float(force @ force))
+            major = min(r * (1.0 + config.k * fnorm), cap)
+            break
+        rounds += 1
+        count("shrink_rounds", 1)
+        force = force + step
+        fnorm = math.sqrt(float(force @ force))
+        major = min(r * (1.0 + config.k * fnorm), cap)
+        if fnorm > 0.0:
+            p = diff @ (force / fnorm)
+            form = (p / major) ** 2 + (d2 - p * p) / r2
+            inside = form < 1.0
+        else:
+            inside = np.einsum("ij,ij->i", diff / r, diff / r) < 1.0
+        n_inside = int(np.count_nonzero(inside))
+        if n_inside == 0:
+            return cand[:0], region(force, fnorm, major)
+        if n_inside < n_total:
+            cand = cand[inside]
+            valid_flags = valid_flags[inside]
+            diff = diff[inside]
+            weight = weight[inside]
+            d2 = d2[inside]
+            step = None
+            checked = False
+            n_total = n_inside
+            n_invalid = int(np.count_nonzero(~valid_flags))
+            final = bool((d2 < ball2).all())
+        elif (
+            not checked
+            and major == cap
+            and fnorm > 0.0
+            and rounds < config.max_shrink_rounds
+            and n_invalid / n_total >= config.phi_threshold
+            and float(force @ step) >= 0.0
+        ):
+            # the settled test: from force to the force after the last round
+            # the directions sweep less than 90 degrees, so a candidate whose
+            # projection keeps its sign and whose form stays below 1 - 1e-9
+            # at both ends never leaves
+            checked = True
+            f_end = force + (config.max_shrink_rounds - rounds) * step
+            fe_norm = math.sqrt(float(f_end @ f_end))
+            p_end = diff @ (f_end / fe_norm)
+            form_end = (p_end / cap) ** 2 + (d2 - p_end * p_end) / r2
+            bound = 1.0 - 1e-9
+            held = (p * p_end > 0.0) & (form < bound) & (form_end < bound)
+            final = bool((held | (d2 < ball2)).all())
+            if final:
+                count("settled", 1)
+        phi = n_invalid / n_total
+        if ke_q2 == 0.0:
+            break
+    return cand[valid_flags], region(force, fnorm, major)

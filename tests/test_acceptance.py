@@ -10,7 +10,6 @@ import time
 
 import numpy as np
 import pytest
-from scipy.spatial import cKDTree
 
 from aptstar.adaptive import (
     BatchConfig,
@@ -137,7 +136,7 @@ def test_criterion_03_ball_degeneration(capsys):
             pts = rng.uniform(0.0, 1.0, (20, n))
             flags = rng.random(20) < 0.7
             x = rng.uniform(0.2, 0.8, n)
-            got = set(elliptical_nn_query(x, cKDTree(pts), flags, r, cfg, 0.0)[0])
+            got = set(elliptical_nn_query(x, pts, flags, r, cfg, 0.0)[0])
             want = {
                 i
                 for i in range(20)
@@ -166,7 +165,7 @@ def test_criterion_04_brute_force_equivalence(capsys):
         charge = float(rng.uniform(0.1, 1.9))
         batch = int(rng.integers(5, 60))
         r = rnn_radius(batch, 2, math.inf, 1.0)
-        got = elliptical_nn_query(x, cKDTree(pts), flags, r, cfg, charge)[0]
+        got = elliptical_nn_query(x, pts, flags, r, cfg, charge)[0]
         want = brute_elliptical_nn(
             tuple(x),
             [(tuple(p), bool(v)) for p, v in zip(pts, flags)],

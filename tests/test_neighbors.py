@@ -17,7 +17,7 @@ from aptstar.neighbors import (
     rnn_radius,
 )
 
-from oracles import brute_elliptical_nn, gram_schmidt_columns
+from oracles import brute_elliptical_nn, elliptical_nn_kd, gram_schmidt_columns
 
 
 CFG = NeighborConfig()
@@ -29,7 +29,7 @@ def query(x, pts, flags, batch, charge, cfg=CFG, **kwargs):
     pts = np.asarray(pts, dtype=float)
     return elliptical_nn_query(
         np.asarray(x, dtype=float),
-        cKDTree(pts.reshape(len(pts), len(x))),
+        pts.reshape(len(pts), len(x)),
         np.asarray(flags, dtype=bool),
         rnn_radius(batch, len(x), math.inf, 1.0),
         cfg,
@@ -625,6 +625,74 @@ class TestTraceChangesNothing:
                 stats = self.check(x, pts, flags, 25, float(rng.uniform(0.5, 1.9)))
                 capped += stats.get("shrink_rounds", 0) == CFG.max_shrink_rounds
         assert capped > 0
+
+
+class TestGatherEqualsKdOracle:
+    """The query gathers its candidates from the point array by
+    |y|^2 <= reach^2; on clouds with no point within rounding of the reach
+    sphere it gives the k-d tree query's members, region and stats."""
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.sampled_from([2, 4, 8]),
+        count=st.integers(1, 60),
+        batch=st.integers(5, 60),
+        charge=st.one_of(st.just(0.0), st.floats(0.1, 1.9)),
+        settled=st.booleans(),
+    )
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    def test_random_clouds(self, seed, n, count, batch, charge, settled):
+        rng = np.random.default_rng(seed)
+        if settled:
+            x, pts, flags = settled_fixture(rng, n, batch)
+        else:
+            x, pts, flags = random_fixture(rng, n, count)
+        stats, want_stats = {}, {}
+        got, region = query(x, pts, flags, batch, charge, stats=stats)
+        want, want_region = elliptical_nn_kd(
+            x, cKDTree(pts), flags, rnn_radius(batch, n, math.inf, 1.0), CFG, charge,
+            stats=want_stats,
+        )
+        assert got.tolist() == want.tolist()
+        assert stats == want_stats
+        if want_region is None:
+            assert region is None
+        else:
+            axis, major, minor = want_region
+            assert region.center.tobytes() == x.tobytes()
+            assert (region.axis is None) == (axis is None)
+            if axis is not None:
+                assert region.axis.tobytes() == axis.tobytes()
+            assert (region.major, region.minor) == (major, minor)
+
+    @pytest.mark.parametrize("n", [2, 4, 8])
+    @pytest.mark.parametrize("charge", [0.0, 1.3])
+    def test_points_on_the_reach_sphere(self, n, charge):
+        # one sample within 3 ulps per coordinate of the reach sphere
+        # max_prolongation * r: it is a candidate exactly when its squared
+        # offset is at most reach^2, and a candidate costs one round (it
+        # never lies in the region) where no candidate costs none
+        rng = np.random.default_rng(80 + n)
+        r = rnn_radius(30, n, math.inf, 1.0)
+        reach = r * CFG.max_prolongation
+        x = np.full(n, 0.5)
+        seen = set()
+        for u in unit_vectors(rng, 300, n):
+            p = x + reach * u
+            for k in range(n):
+                steps = int(rng.integers(-3, 4))
+                toward = math.inf if steps > 0 else -math.inf
+                for _ in range(abs(steps)):
+                    p[k] = np.nextafter(p[k], toward)
+            y = p[None, :] - x
+            gathered = bool(np.einsum("ij,ij->i", y, y)[0] <= reach * reach)
+            seen.add(gathered)
+            stats = {}
+            got, region = query(x, p[None, :], [True], 30, charge, stats=stats)
+            assert got.tolist() == []
+            assert stats.get("shrink_rounds", 0) == int(gathered)
+            assert (region is not None) == gathered
+        assert seen == {False, True}
 
 
 class TestNeighborConfig:

@@ -10,6 +10,7 @@ construction that names the offending field.
 import dataclasses
 import math
 import re
+import time
 
 import numpy as np
 from hypothesis import HealthCheck, Phase, given, note, settings
@@ -132,7 +133,7 @@ SUB_CONFIGS = {"neighbor": NeighborConfig, "batch": BatchConfig, "charge": Charg
 # iterations: apt's second batch is its first adaptive one.
 # A plan's work grows with the inverse of the spacing, the edge length and the
 # pair distance, so these are drawn from floors up; subnormal values of them
-# overflow or never end (rrt_connect's connect loop makes no progress)
+# can overflow
 IN_RANGE = {
     PlannerConfig: {
         "max_time": st.none() | st.floats(0.0, 10.0),
@@ -165,6 +166,21 @@ IN_RANGE = {
 FUZZ_BUDGETS = {"apt": 2, "bit": 1, "informed_rrt_star": 100, "rrt_connect": 100}
 # out of range, not finite, a bool, or a float for an integer field
 ODD = (math.nan, math.inf, -math.inf, True, False, -1, 3.0)
+
+
+def test_rrt_connect_with_an_edge_below_an_ulp_stops():
+    """A step shorter than the coordinates' ulps moves nothing: the connect
+    loop ends instead of adding the same state forever, and it keeps to
+    max_time."""
+    config = PlannerConfig(max_edge_length=1e-300, max_time=0.5)
+    t0 = time.perf_counter()
+    run = PLANNERS["rrt_connect"](WALL, config)
+    assert time.perf_counter() - t0 < 2.0
+    assert contract_violations(WALL, run) == []
+    # with no clock, only the iteration budget bounds the run
+    run = PLANNERS["rrt_connect"](WALL, PlannerConfig(max_edge_length=1e-300, max_iterations=50))
+    assert contract_violations(WALL, run) == []
+    assert not run.success
 
 
 def test_config_fuzz_covers_every_field():

@@ -126,6 +126,20 @@ def _weights(d2: np.ndarray, n: int, ke_q2: float, config: NeighborConfig) -> np
     return ke_q2 / d ** (n - 1) / d
 
 
+def check_pair_distance(config: NeighborConfig, n: int, charge: float) -> None:
+    """Raise ValueError unless a sample at the clamped pair distance has a
+    finite force weight at this charge in n dimensions. The query's own
+    vertex is a sample at distance 0, and a weight that overflows, or that
+    divides zero by an underflowed d^(n-1), times its zero offset is NaN."""
+    with np.errstate(all="ignore"):
+        weight = float(_weights(np.zeros(1), n, config.k_e * charge * charge, config)[0])
+    if not math.isfinite(weight):
+        raise ValueError(
+            f"min_pair_distance {config.min_pair_distance!r} is too small: a sample at "
+            f"that distance has force weight {weight!r} in {n} dimensions"
+        )
+
+
 def coulomb_force(
     x: State,
     positions: np.ndarray,

@@ -18,7 +18,9 @@ from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial import cKDTree
+# no planner builds a k-d tree; perfbench/layers.py times its "planner.kd_build"
+# layer under this name
+from scipy.spatial import cKDTree  # noqa: F401
 
 from .adaptive import (
     BatchConfig,
@@ -43,7 +45,13 @@ from .geometry import (
     sample_uniform,
     states_valid,
 )
-from .neighbors import EllipsoidRegion, NeighborConfig, elliptical_nn_query, rnn_radius
+from .neighbors import (
+    EllipsoidRegion,
+    NeighborConfig,
+    check_pair_distance,
+    elliptical_nn_query,
+    rnn_radius,
+)
 
 _EPS = 1e-12
 # informed RRT* draws its informed samples this many at a time
@@ -140,8 +148,8 @@ class SearchTree:
 
     Besides the list of states, the tree keeps them as rows of a growable
     (m, n) array that doubles when full, so ``positions`` is a slice, not a
-    re-stack. Rows are only appended, never rewritten: a k-d tree built on
-    ``positions`` stays valid while the tree grows. Each state is the tree's
+    re-stack. Rows are only appended, never rewritten: row i of a copy of
+    ``positions`` stays vertex i while the tree grows. Each state is the tree's
     own copy, never a view that would keep a caller's array alive.
     """
 
@@ -270,6 +278,15 @@ class _Run:
         self._t0 = time.perf_counter()
         self._iteration = 0.0
         self.resolution = config.motion_resolution or default_motion_resolution(self.world)
+        # below the spacing of the floats the world's coordinates take,
+        # consecutive check points cannot differ
+        corners = [*self.world.bounds.min_corner.tolist(), *self.world.bounds.max_corner.tolist()]
+        spacing = math.ulp(max(map(abs, corners)))
+        if self.resolution < spacing:
+            raise ValueError(
+                f"motion_resolution {self.resolution!r} is finer than the float spacing "
+                f"{spacing!r} of the world's coordinates"
+            )
         self.counters = dict.fromkeys(("samples", "collision_checks", *counters), 0)
         self.events: list[tuple[float, float]] = []
         self.tree = SearchTree(problem.start)
@@ -391,12 +408,12 @@ class _AptRun(_Run):
         """Expand vertices best-first until none can improve the solution;
         False when the time budget ran out first."""
         tree, n = self.tree, self.world.dimension
-        # the query gathers from the batch's points: the pool, then the tree
-        # as the batch began
+        # the query and the rewire gather from the batch's points: the pool,
+        # then the tree as the batch began
         points = np.vstack([self.pool, tree.positions])
         # rewiring never re-hangs the root, so a batch that starts with the
         # root alone has nothing to rewire
-        tree_kd = cKDTree(tree.positions) if len(tree) > 1 else None
+        rows = points[len(self.pool):] if len(tree) > 1 else None
         valid = np.concatenate([self.pool_valid, np.ones(len(tree), dtype=bool)])
         self.h_pool = _goal_distances(self.pool, self.goals)
         self.connected = np.zeros(len(self.pool), dtype=bool)
@@ -427,8 +444,8 @@ class _AptRun(_Run):
             )
             self.expand(v, nbrs)
             # rewiring candidates come from the same region, both radii scaled
-            if region is not None and tree_kd is not None:
-                self.rewire(v, region.scaled(self.config.rewire_factor), tree_kd)
+            if region is not None and rows is not None:
+                self.rewire(v, region.scaled(self.config.rewire_factor), rows)
         return True
 
     def expand(self, v: int, nbrs: np.ndarray) -> None:
@@ -455,16 +472,14 @@ class _AptRun(_Run):
             self.push(w)
             self.try_goal(w)
 
-    def rewire(self, v: int, region: EllipsoidRegion, tree_kd: cKDTree) -> None:
-        """Re-hang the vertices in region under v where that is cheaper; tree_kd
-        indexes the tree as the batch began, and rows are only appended."""
+    def rewire(self, v: int, region: EllipsoidRegion, rows: np.ndarray) -> None:
+        """Re-hang the vertices in region under v where that is cheaper; rows
+        are the tree's states as the batch began, so row w is vertex w."""
         tree = self.tree
         xv = tree.states[v]
-        cand = np.array(sorted(tree_kd.query_ball_point(xv, region.major)), dtype=int)
-        rel = tree.positions[cand] - xv
-        inside = region.contains_offsets(rel)
-        cand = cand[inside]
-        rel = rel[inside]
+        offsets = rows - xv
+        cand = region.contains_offsets(offsets).nonzero()[0]
+        rel = offsets[cand]
         rewire_d = np.sqrt(np.einsum("ij,ij->i", rel, rel))
         gv = tree.g[v]
         for w, d in zip(cand.tolist(), rewire_d.tolist()):
@@ -541,6 +556,10 @@ def plan_apt(
     With adaptive=False every batch has m_default samples and zero charge,
     so every region is the r-ball: the fixed-batch isotropic ablation.
     """
+    # the largest charge a batch can carry; bit's charge is zero
+    check_pair_distance(
+        config.neighbor, problem.world.dimension, config.charge.q_max if adaptive else 0.0
+    )
     batch_state = BatchState()
     run = _AptRun(problem, config)
 

@@ -445,3 +445,25 @@ def elliptical_nn_kd(x, kdtree, valid, r, config, charge, *, stats=None):
         if ke_q2 == 0.0:
             break
     return cand[valid_flags], region(force, fnorm, major)
+
+
+def rewire_candidates_kd(rows, x, axis, major, minor):
+    """The rewire's candidates as gathered on a ``scipy.spatial.cKDTree``:
+    the sorted indices of ``query_ball_point(x, major)`` over ``rows``, kept
+    where x + y lies strictly inside the prolate region (axis, major, minor)
+    centred at x, or the ball of radius minor when axis is None, with the
+    region test's float operations."""
+    # imported here: perfbench loads this module, and scipy.spatial alone
+    # adds tens of MiB to a process
+    from scipy.spatial import cKDTree
+
+    x = np.asarray(x, dtype=float)
+    cand = np.array(sorted(cKDTree(rows).query_ball_point(x, major)), dtype=int)
+    y = rows[cand] - x
+    if axis is None:
+        inside = np.einsum("ij,ij->i", y / minor, y / minor) < 1.0
+    else:
+        p = y @ axis
+        d2 = np.einsum("ij,ij->i", y, y)
+        inside = (p / major) ** 2 + (d2 - p * p) / (minor * minor) < 1.0
+    return cand[inside]

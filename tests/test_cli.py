@@ -99,6 +99,9 @@ class TestPlan:
             ({"batch.n_dim": 4}, "n_dim"),
             ({"neighbor.k": float("inf")}, "k must be nonnegative and finite"),
             ({"motion_resolution": float("inf")}, "motion_resolution must be positive and finite"),
+            # these two pass construction and are rejected when the run starts
+            ({"motion_resolution": 1e-300}, "motion_resolution 1e-300 is finer"),
+            ({"neighbor.min_pair_distance": 5e-324}, "min_pair_distance 5e-324 is too small"),
         ],
     )
     def test_bad_charge_or_batch_config_exit_2(self, tmp_path, capsys, config, message):

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
@@ -17,7 +17,12 @@ from aptstar.neighbors import (
     rnn_radius,
 )
 
-from oracles import brute_elliptical_nn, elliptical_nn_kd, gram_schmidt_columns
+from oracles import (
+    brute_elliptical_nn,
+    elliptical_nn_kd,
+    gram_schmidt_columns,
+    rewire_candidates_kd,
+)
 
 
 CFG = NeighborConfig()
@@ -688,6 +693,72 @@ class TestGatherEqualsKdOracle:
             assert stats.get("shrink_rounds", 0) == int(gathered)
             assert (region is not None) == gathered
         assert seen == {False, True}
+
+
+def nudged(rng, p, ulps):
+    """p with each coordinate moved by up to ulps ulps either way."""
+    p = p.copy()
+    for k in range(p.size):
+        steps = int(rng.integers(-ulps, ulps + 1))
+        toward = math.inf if steps > 0 else -math.inf
+        for _ in range(abs(steps)):
+            p[k] = np.nextafter(p[k], toward)
+    return p
+
+
+class TestRewireGatherAgainstKdOracle:
+    """The rewire keeps the tree rows at offsets y from the vertex that its
+    scaled region contains, with no k-d prefilter. form < 1 implies
+    |y| < major, so the gathers can differ only on rows where rounding
+    decides: the k-d tree drops some rows within ulps of the major-radius
+    sphere that the region test keeps (the seed-0 example), and the
+    projection y . axis rounds differently over the whole array than over
+    the tree's subset, which flips rows whose form is within rounding of 1
+    (the seed-837 example). Every other row is gathered by both or by
+    neither."""
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.sampled_from([2, 4, 8]),
+        ball=st.booleans(),
+        count=st.integers(0, 40),
+    )
+    @example(seed=0, n=4, ball=False, count=0)
+    @example(seed=837, n=8, ball=False, count=0)
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_random_regions(self, seed, n, ball, count):
+        rng = np.random.default_rng(seed)
+        x = rng.random(n)
+        minor = float(rng.uniform(0.01, 0.5))
+        if ball:
+            axis, major = None, minor
+        else:
+            force = rng.standard_normal(n)
+            axis = force / math.sqrt(float(force @ force))
+            major = minor * float(rng.uniform(1.0, 3.0))
+        region = EllipsoidRegion(x, axis, major, minor).scaled(1.2)
+        # rows on the major-radius sphere: on the axis and tilted off it by
+        # small angles, or anywhere on a ball, each within 3 ulps per coordinate
+        u = unit_vectors(rng, 12, n)
+        if axis is not None:
+            tilt = 10.0 ** rng.uniform(-12.0, -2.0, (12, 1))
+            u = axis * np.where(rng.random((12, 1)) < 0.5, 1.0, -1.0) + tilt * u
+            u[:2] = [axis, -axis]
+            u /= np.linalg.norm(u, axis=1)[:, None]
+        sphere = [nudged(rng, x + region.major * d, 3) for d in u]
+        cloud = x + rng.uniform(-1.5, 1.5, (count, n)) * region.major
+        rows = np.vstack([cloud, *sphere])[rng.permutation(count + len(sphere))]
+        got = region.contains_offsets(rows - x).nonzero()[0]
+        want = rewire_candidates_kd(rows, x, region.axis, region.major, region.minor)
+        for i in np.setxor1d(got, want).tolist():
+            y = (rows[i] - x).tolist()
+            d2 = math.fsum(c * c for c in y)
+            if region.axis is None:
+                form = d2 / region.minor**2
+            else:
+                p = math.fsum(c * a for c, a in zip(y, region.axis.tolist()))
+                form = (p / region.major) ** 2 + (d2 - p * p) / region.minor**2
+            assert abs(form - 1.0) < 1e-12, (i, form)
 
 
 class TestNeighborConfig:

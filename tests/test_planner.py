@@ -144,6 +144,36 @@ class TestPlannerConfig:
         assert code == 2
         assert "max_edge_length must be positive" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("n, pair", [(2, 5e-324), (16, 1e-20), (8, 1e-40), (4, 1e-80)])
+    def test_pair_distance_whose_force_weight_overflows_rejected(self, n, pair):
+        # the query's own vertex is a sample at distance 0, clamped to pair:
+        # k_e q_max^2 / pair^n overflowed, and inf times a zero offset made
+        # the force NaN inside the first batch
+        problem = make_spec_problem(WorldSpec("dividing_wall", n, seed=0))
+        config = PlannerConfig(max_iterations=2, neighbor=NeighborConfig(min_pair_distance=pair))
+        with pytest.raises(ValueError, match="min_pair_distance"):
+            plan_apt(problem, config)
+
+    def test_bit_rejects_a_pair_distance_whose_power_underflows(self):
+        # bit's charge is zero, so its weight 0 / pair^(n-1) / pair is finite
+        # until pair^(n-1) underflows to 0
+        problem = make_spec_problem(WorldSpec("dividing_wall", 4, seed=0))
+        config = PlannerConfig(max_iterations=2, neighbor=NeighborConfig(min_pair_distance=1e-80))
+        assert plan_batch_informed_trees(problem, config).success
+        config = PlannerConfig(max_iterations=2, neighbor=NeighborConfig(min_pair_distance=1e-300))
+        with pytest.raises(ValueError, match="min_pair_distance"):
+            plan_batch_informed_trees(problem, config)
+
+    @pytest.mark.parametrize("planner", sorted(PLANNERS))
+    @pytest.mark.parametrize("resolution", [5e-324, 1e-300, 1e-17])
+    def test_resolution_below_the_coordinates_spacing_rejected(self, planner, resolution):
+        # consecutive check points could not differ: 5e-324 overflowed the
+        # segment check's step count, and 1e-300 ran for longer than 20 s
+        problem = make_spec_problem(WorldSpec("dividing_wall", 2, seed=0))
+        config = PlannerConfig(max_iterations=2, motion_resolution=resolution)
+        with pytest.raises(ValueError, match="motion_resolution"):
+            PLANNERS[planner](problem, config)
+
 
 class TestSearchTree:
     def test_extract_root_only(self):

@@ -6,6 +6,7 @@ are closed sets, so a point on an obstacle boundary is invalid.
 """
 from __future__ import annotations
 
+import functools
 import json
 import math
 import numbers
@@ -389,8 +390,7 @@ def is_motion_valid(world: WorldModel, a: State, b: State, resolution: float) ->
     """Check the straight segment a-b at spacing <= resolution, endpoints included.
 
     The check runs in a kernel generated for the world (see
-    ``_compile_motion_kernel``), compiled on the world's first call and kept
-    on it.
+    ``_compile_motion_kernel``) on the world's first call and kept on it.
     """
     if not resolution > 0.0:  # also rejects NaN
         raise ValueError("resolution must be positive")
@@ -458,8 +458,16 @@ def _compile_motion_kernel(blo, bhi, boxes):
             namespace[f"G{g}"] = tuple(rows)
             src += _box_loop_source(f"G{g}", cut, n)
         src.append("    return True")
-    exec(compile("\n".join(src), "<motion kernel>", "exec"), namespace)
+    exec(_compile_kernel_source("\n".join(src)), namespace)
     return namespace["kernel"]
+
+
+@functools.lru_cache(maxsize=256)
+def _compile_kernel_source(source: str):
+    """A kernel's code, compiled once per process: the source holds only the
+    bounds and the cut-axis groups, so worlds of one family and dimension
+    share it, each running it in its own namespace of box constants."""
+    return compile(source, "<motion kernel>", "exec")
 
 
 def _box_loop_source(group: str, cut: tuple[int, ...], n: int) -> list[str]:

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# no query builds a frame; orthonormal_basis stays importable from here because
-# perfbench/layers.py times its "geometry.frame" layer under this name
+# no query builds a frame; only perfbench/layers.py's "geometry.frame" wrap asks
+# for orthonormal_basis here, and the import goes with the wrap
 from .geometry import State, is_int, orthonormal_basis, unit_ball_volume  # noqa: F401
 
 

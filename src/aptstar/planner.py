@@ -18,9 +18,6 @@ from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
-# no planner builds a k-d tree; perfbench/layers.py times its "planner.kd_build"
-# layer under this name
-from scipy.spatial import cKDTree  # noqa: F401
 
 from .adaptive import (
     BatchConfig,
@@ -56,6 +53,16 @@ from .neighbors import (
 _EPS = 1e-12
 # informed RRT* draws its informed samples this many at a time
 _INFORMED_BLOCK = 64
+
+
+def __getattr__(name: str):
+    # no planner builds a k-d tree; only perfbench/layers.py's "planner.kd_build"
+    # wrap asks for this name, so scipy loads then, and the name goes with the wrap
+    if name == "cKDTree":
+        from scipy.spatial import cKDTree
+
+        return cKDTree
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _dist(a: np.ndarray, b: np.ndarray) -> float:

@@ -952,6 +952,18 @@ class TestMotionKernelCache:
             assert "_motion_kernel" not in vars(other)
             assert [is_motion_valid(other, a, b, 0.01) for a, b in edges] == want
 
+    def test_worlds_of_one_source_share_its_code(self):
+        # the source holds only the bounds and the cut-axis groups; each
+        # world runs the shared code on its own box constants
+        worlds = [make_problem(WorldSpec("dividing_wall", 4, seed=s)).world for s in (0, 1)]
+        assert world_to_dict(worlds[0]) != world_to_dict(worlds[1])
+        rng = np.random.default_rng(7)
+        for world in worlds:
+            _assert_equals_slab_oracle(world, _face_edges(world, rng, 200), 0.01)
+        first, second = (vars(w)["_motion_kernel"] for w in worlds)
+        assert first is not second
+        assert first.__code__ is second.__code__
+
 
 class TestHyperRectangleContains:
     box = HyperRectangle([0.0, -1.0, 2.0], [1.0, 1.0, 2.0])

@@ -2,10 +2,12 @@
 
 Every planner, on every generated problem, must return a path that the
 independent fine checker accepts, whose length is its reported final cost,
-that costs no less than the straight-line bound (and, in 2-D, the visibility
-graph optimum), and whose improvement events strictly decrease. A config
-fuzz holds every config to the same contract, or to a ValueError that
-names the offending field, at construction or when a run starts.
+that costs no less than the straight-line bound (and, on a world whose boxes
+span the bounds past the first two axes, a bound built from the 2-D
+visibility graph optimum), and whose improvement events strictly
+decrease. A config fuzz holds every config to the same contract, or to a
+ValueError that names the offending field, at construction or when a run
+starts.
 """
 import dataclasses
 import math
@@ -13,6 +15,7 @@ import re
 import time
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, Phase, given, note, settings
 from hypothesis import strategies as st
 
@@ -25,7 +28,7 @@ from aptstar.geometry import (
 )
 from aptstar.adaptive import SCHEDULES, BatchConfig, ChargeConfig
 from aptstar.neighbors import NeighborConfig
-from aptstar.planner import PLANNERS, PlannerConfig
+from aptstar.planner import PLANNERS, PlannerConfig, PlannerRun
 from aptstar.worlds import WorldSpec, make_problem
 
 from oracles import euclid, motion_valid_fine, visibility_shortest_path
@@ -56,7 +59,29 @@ def random_problem(seed: int) -> ProblemInstance | None:
         boxes.append(
             HyperRectangle(np.clip(center - half, 0.0, 1.0), np.clip(center + half, 0.0, 1.0))
         )
-    world = WorldModel(HyperRectangle(np.zeros(n), np.ones(n)), tuple(boxes))
+    return _with_endpoints(WorldModel(HyperRectangle(np.zeros(n), np.ones(n)), tuple(boxes)), rng)
+
+
+def extruded_problem(seed: int) -> ProblemInstance | None:
+    """A unit-cube world of d = 3-6 whose one to four boxes, clipped at the
+    bounds on the first two axes, span the bounds on every other axis; the
+    start and goals as in ``random_problem``, so they differ on those axes
+    too."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(3, 7))
+    boxes = []
+    for _ in range(int(rng.integers(1, 5))):
+        center = rng.uniform(0.0, 1.0, 2)
+        half = rng.uniform(0.02, 0.4, 2)
+        lo, hi = np.zeros(n), np.ones(n)
+        lo[:2] = np.clip(center - half, 0.0, 1.0)
+        hi[:2] = np.clip(center + half, 0.0, 1.0)
+        boxes.append(HyperRectangle(lo, hi))
+    return _with_endpoints(WorldModel(HyperRectangle(np.zeros(n), np.ones(n)), tuple(boxes)), rng)
+
+
+def _with_endpoints(world: WorldModel, rng) -> ProblemInstance | None:
+    n = world.dimension
 
     def valid_point():
         for _ in range(50):
@@ -101,16 +126,49 @@ def contract_violations(problem: ProblemInstance, run) -> list[str]:
         out.append(f"path length {length!r} != c_final {run.c_final!r}")
     if run.c_final < problem.c_min - LENGTH_TOL:
         out.append(f"c_final {run.c_final!r} below c_min {problem.c_min!r}")
-    if world.dimension == 2:
-        optimum = min(
-            visibility_shortest_path(
-                [tuple(map(tuple, box)) for box in boxes], tuple(path[0]), tuple(g)
-            )
-            for g in problem.goals
-        )
-        if run.c_final < optimum - LENGTH_TOL:
-            out.append(f"c_final {run.c_final!r} below the visibility optimum {optimum!r}")
+    if is_extruded(world):
+        bound = extruded_bound(problem)
+        if run.c_final < bound - LENGTH_TOL:
+            out.append(f"c_final {run.c_final!r} below the extruded bound {bound!r}")
     return out
+
+
+def is_extruded(world: WorldModel) -> bool:
+    """Is the world at least 2-D, with every box spanning the bounds on
+    every axis past the first two?"""
+    lo, hi = world.bounds.min_corner[2:], world.bounds.max_corner[2:]
+    return world.dimension >= 2 and all(
+        np.all(o.min_corner[2:] <= lo) and np.all(o.max_corner[2:] >= hi)
+        for o in world.obstacles
+    )
+
+
+def extruded_bound(problem: ProblemInstance) -> float:
+    """A lower bound on the length of a path from the start to a goal on an
+    extruded unit-cube world (see ``is_extruded``).
+
+    Such a world is the product of its (x0, x1) section and a box on the
+    other axes, so a path is no shorter than sqrt(v^2 + |dz|^2): v is the
+    length of its projection on the section, at least the section's
+    visibility optimum between the projected endpoints, and dz is the
+    endpoints' offset on the other axes. Paths that move on those axes in
+    step with their section arc length come as close to it as the closed
+    boxes allow, so the bound is the optimum, unless the visibility graph
+    slides a path between a box and a face of the bounds that it meets. In
+    2-D, dz is empty and this is the visibility optimum.
+    """
+    section = [
+        (tuple(o.min_corner[:2].tolist()), tuple(o.max_corner[:2].tolist()))
+        for o in problem.world.obstacles
+    ]
+    start = problem.start.tolist()
+    return min(
+        math.hypot(
+            visibility_shortest_path(section, tuple(start[:2]), tuple(g[:2])),
+            euclid(start[2:], g[2:]),
+        )
+        for g in (g.tolist() for g in problem.goals)
+    )
 
 
 @CONTRACT
@@ -123,6 +181,72 @@ def test_planner_output_contract(seed, planner):
     run = PLANNERS[planner](problem, config)
     assert contract_violations(problem, run) == []
     assert math.isfinite(run.c_final) == run.success
+
+
+@settings(CONTRACT, max_examples=100)
+@given(seed=st.integers(0, 2**32 - 1), planner=st.sampled_from(sorted(PLANNERS)))
+def test_planner_output_contract_on_extruded_worlds(seed, planner):
+    problem = extruded_problem(seed)
+    if problem is None:
+        return
+    assert is_extruded(problem.world)
+    config = PlannerConfig(max_iterations=BUDGETS[planner], rng_seed=seed % 1000)
+    run = PLANNERS[planner](problem, config)
+    assert contract_violations(problem, run) == []
+
+
+# d = 3: a wall over x0 in [0.4, 0.6] and x1 in [0.1, 0.8], spanning x2; the
+# start and goal differ by 0.6 on x2
+HAND = ProblemInstance(
+    WorldModel(
+        HyperRectangle(np.zeros(3), np.ones(3)),
+        (HyperRectangle([0.4, 0.1, 0.0], [0.6, 0.8, 1.0]),),
+    ),
+    np.array([0.1, 0.7, 0.2]),
+    (np.array([0.9, 0.7, 0.8]),),
+)
+# over the wall's top corners: 2 sqrt(0.3^2 + 0.1^2) + 0.2 on the section
+HAND_BOUND = math.hypot(2.0 * math.sqrt(0.1) + 0.2, 0.6)
+
+
+def hand_path(clearance: float) -> list[np.ndarray]:
+    """Over the wall at x1 = 0.8 + clearance, moving on x2 in step with the
+    section's arc length."""
+    section = [(0.1, 0.7), (0.4, 0.8 + clearance), (0.6, 0.8 + clearance), (0.9, 0.7)]
+    arc = np.cumsum([0.0] + [euclid(a, b) for a, b in zip(section, section[1:])])
+    z = 0.2 + 0.6 * arc / arc[-1]
+    return [np.array([x0, x1, x2]) for (x0, x1), x2 in zip(section, z)]
+
+
+def run_along(path) -> PlannerRun:
+    length = sum(euclid(a, b) for a, b in zip(path, path[1:]))
+    return PlannerRun("hand", events=[(0.0, length)], success=True, path=path)
+
+
+def test_extruded_bound_by_hand_at_d3():
+    assert is_extruded(HAND.world)
+    assert extruded_bound(HAND) == pytest.approx(HAND_BOUND, rel=1e-15)
+    # a path clear of the wall by 1e-4 is valid and within 2e-4 of the bound
+    near = run_along(hand_path(1e-4))
+    assert contract_violations(HAND, near) == []
+    assert HAND_BOUND < near.c_final < HAND_BOUND + 2e-4
+    # on the wall's top face it collides; the straight segment, shorter than
+    # the bound, collides and breaks it
+    assert contract_violations(HAND, run_along(hand_path(0.0)))[0].endswith("collides")
+    straight = contract_violations(HAND, run_along([HAND.start, HAND.goals[0]]))
+    assert straight[-1].startswith(f"c_final {HAND.c_min!r} below the extruded bound")
+    for name, planner in sorted(PLANNERS.items()):
+        run = planner(HAND, PlannerConfig(max_iterations=BUDGETS[name], rng_seed=3))
+        assert contract_violations(HAND, run) == [], name
+
+
+@pytest.mark.parametrize("d", [4, 8, 16])
+def test_dividing_walls_are_extruded(d):
+    for seed in range(10):
+        problem = make_problem(WorldSpec("dividing_wall", d, seed=seed))
+        assert is_extruded(problem.world)
+        # the canonical endpoints share every coordinate past the first two
+        assert problem.start[2:].tolist() == problem.goals[0][2:].tolist()
 
 
 WALL = make_problem(WorldSpec("dividing_wall", 2, seed=0))

@@ -32,7 +32,6 @@ from .geometry import (
 from .neighbors import (
     EllipsoidRegion,
     NeighborConfig,
-    coulomb_force,
     rnn_radius,
 )
 from .planner import (

@@ -12,6 +12,7 @@ import math
 from dataclasses import dataclass, field, asdict
 from typing import Iterable, Sequence
 
+from .geometry import is_int
 from .planner import PLANNERS, PlannerConfig, PlannerRun
 from .worlds import WorldSpec, make_problem
 
@@ -28,8 +29,8 @@ class BenchmarkSuite:
     seed_base: int = 0
 
     def __post_init__(self):
-        if self.trials < 1:
-            raise ValueError("trials must be positive")
+        if not (is_int(self.trials) and self.trials >= 1):
+            raise ValueError("trials must be a positive integer")
         for pid, _ in self.planners:
             if pid not in PLANNERS:
                 raise ValueError(f"unknown planner id {pid!r}")
@@ -89,6 +90,8 @@ def run_benchmark(suite: BenchmarkSuite, out=None, jobs: int = 1) -> list[dict]:
     process pool; the concurrency level is recorded in the header because it
     perturbs wall-clock comparability.
     """
+    if not (is_int(jobs) and jobs >= 1):
+        raise ValueError("jobs must be a positive integer")
     records: list[dict] = []
 
     def emit(obj: dict) -> None:

@@ -140,26 +140,6 @@ def check_pair_distance(config: NeighborConfig, n: int, charge: float) -> None:
         )
 
 
-def coulomb_force(
-    x: State,
-    positions: np.ndarray,
-    valid: np.ndarray,
-    charge: float,
-    config: NeighborConfig,
-) -> np.ndarray:
-    """Total virtual Coulomb force on x from samples of equal charge.
-
-    Valid samples (rows of positions) pull toward themselves, invalid ones
-    push away; each contributes k_e * q^2 / d^(n-1) along the unit
-    direction, with pair distances clamped below by min_pair_distance.
-    """
-    x = np.asarray(x, dtype=float)
-    diff = np.asarray(positions, dtype=float) - x
-    d2 = np.einsum("ij,ij->i", diff, diff)
-    weight = _weights(d2, diff.shape[1], config.k_e * charge * charge, config)
-    return np.where(valid, weight, -weight) @ diff
-
-
 def elliptical_nn_query(
     x: State,
     points: np.ndarray,
@@ -169,7 +149,6 @@ def elliptical_nn_query(
     charge: float,
     *,
     stats: dict | None = None,
-    trace=None,
 ) -> tuple[np.ndarray, EllipsoidRegion | None]:
     """Core query: (int array of the valid members' indices, final region).
 
@@ -182,8 +161,7 @@ def elliptical_nn_query(
     is accumulated over the surviving candidates each round and membership
     retested until the invalid ratio drops below phi_threshold or the round
     bound is hit. Invalid samples are stripped from the result. With
-    ``stats``, the rounds run are added to ``stats["shrink_rounds"]``;
-    ``trace`` receives one line per round.
+    ``stats``, the rounds run are added to ``stats["shrink_rounds"]``.
     """
     x = np.asarray(x, dtype=float)
     n = x.size
@@ -240,10 +218,6 @@ def elliptical_nn_query(
             last = rounds + 1 if stop else config.max_shrink_rounds
             for rounds in range(rounds + 1, last + 1):
                 force = force + step
-                if trace is not None:
-                    fnorm = math.sqrt(float(force @ force))
-                    major = min(r * (1.0 + config.k * fnorm), cap)
-                    trace.write(_round_line(rounds, n_total, n_invalid, phi, fnorm, major / r))
             fnorm = math.sqrt(float(force @ force))
             major = min(r * (1.0 + config.k * fnorm), cap)
             break
@@ -266,8 +240,6 @@ def elliptical_nn_query(
             inside = np.einsum("ij,ij->i", diff / r, diff / r) < 1.0
         keep = inside.nonzero()[0]
         if keep.size == 0:
-            if trace is not None:
-                trace.write(f"{rounds} 0 0 nan {fnorm:.9e} {major / r:.9f}\n")
             _count_rounds(stats, rounds)
             return cand[:0], _region(x, force, fnorm, major, r)
         if keep.size < n_total:
@@ -295,8 +267,6 @@ def elliptical_nn_query(
             if final and stats is not None:
                 stats["settled"] = stats.get("settled", 0) + 1
         phi = n_invalid / n_total
-        if trace is not None:
-            trace.write(_round_line(rounds, n_total, n_invalid, phi, fnorm, major / r))
         if ke_q2 == 0.0:
             # zero charge leaves the force at zero forever, so the region
             # and its membership are already at their fixed point
@@ -308,14 +278,6 @@ def elliptical_nn_query(
 def _count_rounds(stats: dict | None, rounds: int) -> None:
     if stats is not None:
         stats["shrink_rounds"] = stats.get("shrink_rounds", 0) + rounds
-
-
-def _round_line(
-    rounds: int, n_total: int, n_invalid: int, phi: float, fnorm: float, ratio: float
-) -> str:
-    """One round's trace line: the round, the candidates and the invalid ones
-    left, phi, the force's norm and the major radius over r."""
-    return f"{rounds} {n_total} {n_invalid} {phi:.9f} {fnorm:.9e} {ratio:.9f}\n"
 
 
 def _settled(

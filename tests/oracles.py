@@ -115,6 +115,21 @@ def gram_schmidt_columns(f) -> list[list[float]]:
     return cols
 
 
+def coulomb_force_sum(x, samples, n, config, charge) -> list[float]:
+    """The virtual Coulomb force on x, as a plain loop over samples, a
+    sequence of (position tuple, valid flag): valid samples pull, invalid
+    ones push, each with k_e q^2 / d^(n-1) along its unit direction, with d
+    clamped below by min_pair_distance."""
+    force = [0.0] * n
+    for p, valid in samples:
+        d = max(euclid(x, p), config.min_pair_distance)
+        mag = config.k_e * charge * charge / d ** (n - 1)
+        s = mag if valid else -mag
+        for k in range(n):
+            force[k] += (s / d) * (p[k] - x[k])
+    return force
+
+
 def brute_elliptical_nn(x, samples, batch_size, n, config, charge, eta=1.0,
                         informed_measure=math.inf, bounds_measure=1.0,
                         with_rounds=False):
@@ -144,13 +159,8 @@ def brute_elliptical_nn(x, samples, batch_size, n, config, charge, eta=1.0,
     rounds = 0
     while phi >= config.phi_threshold and rounds < config.max_shrink_rounds:
         rounds += 1
-        for i in cand:
-            p, valid = samples[i]
-            d = max(euclid(x, p), config.min_pair_distance)
-            mag = config.k_e * charge * charge / d ** (n - 1)
-            s = mag if valid else -mag
-            for k in range(n):
-                force[k] += (s / d) * (p[k] - x[k])
+        step = coulomb_force_sum(x, [samples[i] for i in cand], n, config, charge)
+        force = [f + s for f, s in zip(force, step)]
         fnorm = math.sqrt(sum(v * v for v in force))
         if fnorm > 0.0:
             cols = gram_schmidt_columns(force)
@@ -206,21 +216,29 @@ def visibility_shortest_path(obstacles, start, goal, bounds=(0.0, 1.0)) -> float
     obstacles: list of ((x0, y0), (x1, y1)). The optimal path bends only at
     rectangle corners, so a visibility graph over corners plus the two
     endpoints is exact. Returns math.inf when disconnected.
+
+    A box that meets a face of the bounds leaves no free strip along that
+    face, so segments are tested against each box extended past every
+    bounds face it reaches; only its corners inside the bounds are nodes.
     """
     nodes = [tuple(start), tuple(goal)]
     lo_b, hi_b = bounds
+    reach = hi_b - lo_b
+    blocks = []
     for (x0, y0), (x1, y1) in obstacles:
         for corner in ((x0, y0), (x0, y1), (x1, y0), (x1, y1)):
             if lo_b <= corner[0] <= hi_b and lo_b <= corner[1] <= hi_b:
                 nodes.append(corner)
+        blocks.append((
+            tuple(v - reach if v <= lo_b else v for v in (x0, y0)),
+            tuple(v + reach if v >= hi_b else v for v in (x1, y1)),
+        ))
     graph = nx.Graph()
     graph.add_nodes_from(range(len(nodes)))
     for i in range(len(nodes)):
         for j in range(i + 1, len(nodes)):
             a, b = nodes[i], nodes[j]
-            if any(
-                _segment_hits_interior(a, b, lo, hi) for lo, hi in obstacles
-            ):
+            if any(_segment_hits_interior(a, b, lo, hi) for lo, hi in blocks):
                 continue
             graph.add_edge(i, j, weight=euclid(a, b))
     try:

@@ -77,6 +77,19 @@ class TestRunBenchmark:
         with pytest.raises(ValueError):
             empty_suite(planners=["warp_drive"])
 
+    @pytest.mark.parametrize("trials", [0, -1, True, 2.5, 2.0])
+    def test_bad_trials_rejected(self, trials):
+        with pytest.raises(ValueError, match="trials"):
+            empty_suite(trials=trials)
+
+    @pytest.mark.parametrize("jobs", [0, -1])
+    def test_bad_jobs_rejected(self, jobs):
+        out = io.StringIO()
+        with pytest.raises(ValueError, match="jobs"):
+            run_benchmark(empty_suite(), out=out, jobs=jobs)
+        # not even the header is written
+        assert out.getvalue() == ""
+
     def test_parallel_jobs_match_serial(self):
         serial = run_benchmark(empty_suite())
         parallel = run_benchmark(empty_suite(), jobs=2)

@@ -168,5 +168,21 @@ class TestBenchAndSummarize:
         records = (out_dir / "mini.results.jsonl").read_text().splitlines()
         assert len(records) == 1 and "format" in json.loads(records[0])
 
+    @pytest.mark.parametrize("option, value", [("jobs", "0"), ("jobs", "-1"), ("trials", 2.5)])
+    def test_bad_jobs_or_trials_exit_2(self, tmp_path, capsys, option, value):
+        suite = tmp_path / "suite.json"
+        suite.write_text(json.dumps({
+            "suite": "mini",
+            "trials": value if option == "trials" else 1,
+            "worlds": [{"family": "empty", "dimension": 2}],
+            "planners": [{"id": "apt", "config": {"max_iterations": 1}}],
+        }))
+        args = ["bench", "--suite", str(suite), "--out", str(tmp_path / "results")]
+        if option == "jobs":
+            args += ["--jobs", value]
+        capsys.readouterr()
+        assert run_cli(*args) == 2
+        assert f"{option} must be a positive integer" in capsys.readouterr().err
+
     def test_summarize_missing_dir(self, tmp_path):
         assert run_cli("summarize", "--in", str(tmp_path)) == 2

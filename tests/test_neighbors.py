@@ -1,5 +1,5 @@
-import io
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,13 +12,13 @@ from aptstar.geometry import orthonormal_basis
 from aptstar.neighbors import (
     EllipsoidRegion,
     NeighborConfig,
-    coulomb_force,
     elliptical_nn_query,
     rnn_radius,
 )
 
 from oracles import (
     brute_elliptical_nn,
+    coulomb_force_sum,
     elliptical_nn_kd,
     gram_schmidt_columns,
     rewire_candidates_kd,
@@ -67,38 +67,51 @@ class TestRnnRadius:
         assert rnn_radius(10, 2, math.inf, 1.0) == rnn_radius(10, 2, 5.0, 1.0)
 
 
+# one round and a cap out of reach: the region's axis is the first round's
+# force F / |F|, and its major radius is r (1 + k |F|)
+ONE_ROUND = NeighborConfig(max_shrink_rounds=1, max_prolongation=1e6)
+
+
+def first_force(x, pts, flags, charge, batch=12):
+    """The force of the query's first round over every sample, read off the
+    region of a query under ONE_ROUND."""
+    x = np.asarray(x, dtype=float)
+    _, region = query(x, pts, flags, batch, charge, ONE_ROUND)
+    r = rnn_radius(batch, x.size, math.inf, 1.0)
+    assert region.minor == r and region.major < r * ONE_ROUND.max_prolongation
+    if region.axis is None:
+        assert region.major == r
+        return np.zeros(x.size)
+    return region.axis * ((region.major / r - 1.0) / ONE_ROUND.k)
+
+
 class TestCoulombForce:
     def test_single_attractor(self):
-        f = coulomb_force(np.array([0.0, 0.0]), [(1, 0)], [True], 1.0, CFG)
-        assert np.allclose(f, [1.0, 0.0], atol=1e-15)
+        f = first_force([0.0, 0.0], [(1, 0)], [True], 1.0)
+        assert np.allclose(f, [1.0, 0.0], atol=1e-12)
 
     def test_attractor_plus_repulsor(self):
-        f = coulomb_force(
-            np.array([0.0, 0.0]), [(1, 0), (0, 2)], [True, False], 1.0, CFG
-        )
-        assert np.allclose(f, [1.0, -0.5], atol=1e-15)
+        f = first_force([0.0, 0.0], [(1, 0), (0, 2)], [True, False], 1.0)
+        assert np.allclose(f, [1.0, -0.5], atol=1e-12)
 
     def test_symmetric_cancellation(self):
-        f = coulomb_force(
-            np.array([0.0, 0.0]), [(1, 0), (-1, 0)], [True, True], 1.0, CFG
-        )
-        assert np.allclose(f, [0.0, 0.0], atol=1e-15)
+        # the two pulls cancel exactly, and a zero force leaves the r-ball
+        f = first_force([0.0, 0.0], [(1, 0), (-1, 0)], [True, True], 1.0)
+        assert np.array_equal(f, [0.0, 0.0])
 
     def test_empty_neighbors(self):
-        assert np.array_equal(
-            coulomb_force(np.zeros(3), np.zeros((0, 3)), [], 1.0, CFG), np.zeros(3)
-        )
+        got, region = query(np.zeros(3), np.zeros((0, 3)), [], 12, 1.0, ONE_ROUND)
+        assert got.tolist() == [] and region is None
 
     def test_magnitude_law(self):
-        # one neighbor at distance r: ||F|| = k_e q^2 / r^(n-1) exactly
+        # one neighbor at distance d: ||F|| = k_e q^2 / d^(n-1)
         for n in (2, 3, 4):
-            for r in (0.25, 1.0, 2.0):
-                x = np.zeros(n)
+            for d in (0.25, 1.0, 2.0):
                 p = np.zeros(n)
-                p[0] = r
-                f = coulomb_force(x, [p], [True], 1.3, CFG)
+                p[0] = d
+                f = first_force(np.zeros(n), [p], [True], 1.3)
                 assert np.linalg.norm(f) == pytest.approx(
-                    CFG.k_e * 1.3**2 / r ** (n - 1), rel=1e-12
+                    ONE_ROUND.k_e * 1.3**2 / d ** (n - 1), rel=1e-12
                 )
 
     @given(st.integers(0, 10_000))
@@ -110,14 +123,14 @@ class TestCoulombForce:
         x = rng.uniform(-1, 1, n)
         pts = rng.uniform(-1, 1, (6, n))
         flags = rng.random(6) < 0.5
-        f = coulomb_force(x, pts, flags, 1.0, CFG)
-        f_rot = coulomb_force(rot @ x, pts @ rot.T, flags, 1.0, CFG)
+        f = first_force(x, pts, flags, 1.0)
+        f_rot = first_force(rot @ x, pts @ rot.T, flags, 1.0)
         assert np.allclose(f_rot, rot @ f, atol=1e-9 * max(1.0, np.linalg.norm(f)))
 
     def test_coincident_sample_clamped(self):
-        x = np.array([0.0, 0.0])
-        f = coulomb_force(x, [(0.0, 0.0)], [True], 1.0, CFG)
-        assert np.all(np.isfinite(f))
+        # the clamped distance gives a finite weight on a zero offset
+        f = first_force([0.0, 0.0], [(0.0, 0.0)], [True], 1.0)
+        assert np.array_equal(f, [0.0, 0.0])
 
 
 def query_region(x, pts, flags, charge, n, cfg=CFG, batch=12):
@@ -316,20 +329,19 @@ class TestEllipticalNearestNeighbors:
             assert all(flags[i] for i in idx)
             assert len(set(idx)) == len(idx)
 
-    def test_shrink_monotonicity_via_trace(self):
+    def test_shrink_monotonicity_over_round_caps(self):
+        # candidates only drop out, so a higher round cap keeps a subset of
+        # the members, and the rounds run are the cap until the loop stops
         rng = np.random.default_rng(4)
         x, pts, flags = random_fixture(rng, 2, 50)
         flags[:] = False
         flags[:5] = True
-        trace = io.StringIO()
-        query(x, pts, flags, 30, 1.5, trace=trace)
-        lines = trace.getvalue().strip().splitlines()
-        assert lines
-        totals = [int(line.split()[1]) for line in lines]
-        assert all(b <= a for a, b in zip(totals, totals[1:]))
-        for line in lines:
-            parts = line.split()
-            assert len(parts) == 6
+        sweep = sweep_round_caps(x, pts, flags, 30, 1.5)
+        members = [set(got) for got, _ in sweep]
+        assert members[0]
+        assert all(b <= a for a, b in zip(members, members[1:]))
+        rounds = [stats["shrink_rounds"] for _, stats in sweep]
+        assert rounds == [min(cap, rounds[-1]) for cap in range(1, len(sweep) + 1)]
 
     def test_empty_input(self):
         got = query(np.zeros(2), np.zeros((0, 2)), [], 10, 1.0)[0]
@@ -385,23 +397,13 @@ class TestEllipticalNearestNeighbors:
         ]
         flags = [True] * 5 + [False] * 4
         pts = [tuple(x + r * np.array(o)) for o in offsets]
-        stats = {}
-        trace = io.StringIO()
-        got = query(x, pts, flags, 12, 1.2, stats=stats, trace=trace)[0]
-        lines = trace.getvalue().splitlines()
-        assert stats["shrink_rounds"] == CFG.max_shrink_rounds
-        assert len(lines) == CFG.max_shrink_rounds
-        assert [int(line.split()[0]) for line in lines] == list(
-            range(1, CFG.max_shrink_rounds + 1)
-        )
-        assert all(line.split()[1:4] == ["8", "3", "0.375000000"] for line in lines)
-        want = brute_elliptical_nn(tuple(x), list(zip(pts, flags)), 12, 2, CFG, 1.2)
-        assert sorted(got) == sorted(want) == [0, 1, 2, 3, 4]
-
+        for cap, (got, stats) in enumerate(sweep_round_caps(x, pts, flags, 12, 1.2), 1):
+            assert got.tolist() == [0, 1, 2, 3, 4]
+            assert stats["shrink_rounds"] == cap
 
     def test_first_round_force_is_coulomb_force(self):
-        # the loop's first force is coulomb_force over the candidates that
-        # max_prolongation * r gathers
+        # the loop's first force is the plain-loop Coulomb sum over the
+        # gathered candidates, here every sample
         rng = np.random.default_rng(6)
         for _ in range(200):
             n = int(rng.integers(2, 9))
@@ -409,14 +411,12 @@ class TestEllipticalNearestNeighbors:
             x, pts, flags = random_fixture(rng, n, count)
             charge = float(rng.uniform(0.1, 1.9))
             batch = int(rng.integers(5, 60))
-            trace = io.StringIO()
-            query(x, pts, flags, batch, charge, trace=trace)
-            reach = CFG.max_prolongation * rnn_radius(batch, n, math.inf, 1.0)
-            near = np.linalg.norm(pts - x, axis=1) <= reach
-            assert near.any()
-            force = coulomb_force(x, pts[near], flags[near], charge, CFG)
-            first = trace.getvalue().splitlines()[0].split()
-            assert first[4] == f"{np.linalg.norm(force):.9e}"
+            got = first_force(x, pts, flags, charge, batch)
+            want = np.array(coulomb_force_sum(
+                tuple(x), [(tuple(p), bool(v)) for p, v in zip(pts, flags)],
+                n, ONE_ROUND, charge,
+            ))
+            assert np.linalg.norm(got - want) <= 1e-12 * max(1.0, np.linalg.norm(want))
 
 
 def unit_vectors(rng, count, n):
@@ -480,6 +480,57 @@ def settled_fixture(rng, n, batch):
     return x, pts, flags
 
 
+def region_key(region):
+    if region is None:
+        return None
+    axis = None if region.axis is None else region.axis.tobytes()
+    return region.center.tobytes(), axis, region.major, region.minor
+
+
+def kd_region_key(x, region):
+    """region_key of an elliptical_nn_kd region centred at x."""
+    if region is None:
+        return None
+    axis, major, minor = region
+    return x.tobytes(), None if axis is None else axis.tobytes(), major, minor
+
+
+def sweep_round_caps(x, pts, flags, batch, charge):
+    """The query at every round cap 1 ... CFG.max_shrink_rounds, as a list
+    of (members, stats) per cap.
+
+    At each cap its members equal the plain-loop oracle's and, with a
+    charge, so do the rounds run (at zero charge the oracle runs every round
+    of a force that stays zero); its members, region and stats equal the k-d
+    oracle's bit for bit. Rounds that can no longer change membership, which
+    the query adds up in one tight loop, are thereby checked at every cap.
+    """
+    x = np.asarray(x, dtype=float)
+    pts = np.asarray(pts, dtype=float)
+    flags = np.asarray(flags, dtype=bool)
+    n = x.size
+    r = rnn_radius(batch, n, math.inf, 1.0)
+    samples = [(tuple(p), bool(v)) for p, v in zip(pts, flags)]
+    tree = cKDTree(pts)
+    out = []
+    for cap in range(1, CFG.max_shrink_rounds + 1):
+        cfg = replace(CFG, max_shrink_rounds=cap)
+        stats, kd_stats = {}, {}
+        got, region = query(x, pts, flags, batch, charge, cfg, stats=stats)
+        want, rounds = brute_elliptical_nn(
+            tuple(x), samples, batch, n, cfg, charge, with_rounds=True
+        )
+        assert got.tolist() == want, cap
+        if charge > 0.0:
+            assert stats.get("shrink_rounds", 0) == len(rounds), cap
+        kd_got, kd_region = elliptical_nn_kd(x, tree, flags, r, cfg, charge, stats=kd_stats)
+        assert got.tolist() == kd_got.tolist(), cap
+        assert region_key(region) == kd_region_key(x, kd_region), cap
+        assert stats == kd_stats, cap
+        out.append((got, stats))
+    return out
+
+
 class TestSettledRounds:
     @pytest.mark.parametrize("n", [2, 4, 8])
     def test_matches_oracle_round_by_round(self, n):
@@ -490,23 +541,10 @@ class TestSettledRounds:
         for _ in range(fixtures):
             x, pts, flags = settled_fixture(rng, n, batch)
             charge = float(rng.uniform(1.2, 1.9))
-            stats = {}
-            trace = io.StringIO()
-            got = query(x, pts, flags, batch, charge, stats=stats, trace=trace)[0]
-            want, rounds = brute_elliptical_nn(
-                tuple(x), [(tuple(p), bool(v)) for p, v in zip(pts, flags)],
-                batch, n, CFG, charge, with_rounds=True,
-            )
-            assert sorted(got) == want
-            assert stats["shrink_rounds"] == len(rounds)
-            lines = [line.split() for line in trace.getvalue().splitlines()]
-            assert [(int(a), int(b), int(c)) for a, b, c, *_ in lines] == [
-                (i + 1, total, invalid) for i, (total, invalid) in enumerate(rounds)
-            ]
+            _, stats = sweep_round_caps(x, pts, flags, batch, charge)[-1]
             settled += stats.get("settled", 0)
         # the fixtures exist to exercise the certificate: most must fire it
         assert settled > fixtures // 2
-
 
     def test_projection_that_changes_sign_drops(self):
         # offsets in units of r, from a random search: at some settled round
@@ -539,50 +577,17 @@ class TestSettledRounds:
         assert stats["shrink_rounds"] == len(rounds)
 
 
-def region_key(region):
-    if region is None:
-        return None
-    axis = None if region.axis is None else region.axis.tobytes()
-    return region.center.tobytes(), axis, region.major, region.minor
-
-
-class TestTraceChangesNothing:
-    """Rounds that can no longer change membership run as one tight loop of
-    force additions; with trace= they still write a line each. Both give the
-    same members, region and stats, and the oracle's members and rounds."""
-
-    def check(self, x, pts, flags, batch, charge):
-        n = len(x)
-        plain, traced = {}, {}
-        trace = io.StringIO()
-        got, region = query(x, pts, flags, batch, charge, stats=plain)
-        got_t, region_t = query(x, pts, flags, batch, charge, stats=traced, trace=trace)
-        assert np.array_equal(got, got_t)
-        assert region_key(region) == region_key(region_t)
-        assert plain == traced
-        lines = [line.split() for line in trace.getvalue().splitlines()]
-        assert [int(line[0]) for line in lines] == list(range(1, len(lines) + 1))
-        assert len(lines) == plain.get("shrink_rounds", 0)
-        r = rnn_radius(batch, n, math.inf, 1.0)
-        if region is not None:
-            assert lines[-1][5] == f"{region.major / r:.9f}"
-        want, rounds = brute_elliptical_nn(
-            tuple(x), [(tuple(p), bool(v)) for p, v in zip(pts, flags)],
-            batch, n, CFG, charge, with_rounds=True,
-        )
-        assert sorted(got) == want
-        if charge > 0.0:
-            # with zero charge the oracle runs every round of a force that stays zero
-            assert len(lines) == len(rounds)
-        return plain
+class TestRoundCapSweep:
+    """At every round cap the query matches both oracles: so rounds that run
+    as one tight loop of force additions change nothing."""
 
     def test_zero_charge(self):
         rng = np.random.default_rng(40)
         for n in (2, 4):
             for _ in range(20):
                 x, pts, flags = random_fixture(rng, n, 40)
-                stats = self.check(x, pts, flags, 30, 0.0)
-                assert stats.get("shrink_rounds", 0) <= 1
+                for _, stats in sweep_round_caps(x, pts, flags, 30, 0.0):
+                    assert stats.get("shrink_rounds", 0) <= 1
 
     @pytest.mark.parametrize("n", [2, 4, 8])
     def test_final_from_the_start(self, n):
@@ -593,10 +598,10 @@ class TestTraceChangesNothing:
         for invalid in (0, 1, 4):
             pts = x + r * rng.uniform(0.1, 0.9, (12, 1)) * unit_vectors(rng, 12, n)
             flags = np.arange(12) >= invalid
-            stats = self.check(x, pts, flags, 30, 1.3)
+            sweep = sweep_round_caps(x, pts, flags, 30, 1.3)
             # phi = invalid / 12 ends the loop after one round only below 0.1
-            cap = CFG.max_shrink_rounds
-            assert stats["shrink_rounds"] == (1 if invalid / 12 < 0.1 else cap)
+            for cap, (_, stats) in enumerate(sweep, 1):
+                assert stats["shrink_rounds"] == (1 if invalid / 12 < 0.1 else cap)
 
     @pytest.mark.parametrize("n", [2, 4, 8])
     def test_settled_mid_loop(self, n):
@@ -604,31 +609,19 @@ class TestTraceChangesNothing:
         settled = 0
         for _ in range(20):
             x, pts, flags = settled_fixture(rng, n, 30)
-            settled += self.check(x, pts, flags, 30, float(rng.uniform(1.2, 1.9))).get(
-                "settled", 0
-            )
+            sweep = sweep_round_caps(x, pts, flags, 30, float(rng.uniform(1.2, 1.9)))
+            settled += sweep[-1][1].get("settled", 0)
         assert settled > 0
 
     def test_round_cap(self):
-        # the fixture of test_frozen_membership_runs_every_round: round one
-        # drops the far sample, and the rest of the rounds run to the cap
-        x = np.array([0.5, 0.5])
-        r = rnn_radius(12, 2, math.inf, 1.0)
-        offsets = [
-            (0.6, 0.0), (0.5, 0.3), (0.5, -0.3), (0.4, 0.4), (0.4, -0.4),
-            (-0.5, 0.0), (-0.4, 0.2), (-0.4, -0.2), (0.0, 2.5),
-        ]
-        pts = np.array([x + r * np.array(o) for o in offsets])
-        flags = np.array([True] * 5 + [False] * 4)
-        assert self.check(x, pts, flags, 12, 1.2)["shrink_rounds"] == CFG.max_shrink_rounds
-        # and random queries, some of which reach the cap without settling
+        # random queries, some of which reach the cap without settling
         rng = np.random.default_rng(70)
         capped = 0
         for n in (2, 4):
             for _ in range(40):
                 x, pts, flags = random_fixture(rng, n, 50)
-                stats = self.check(x, pts, flags, 25, float(rng.uniform(0.5, 1.9)))
-                capped += stats.get("shrink_rounds", 0) == CFG.max_shrink_rounds
+                sweep = sweep_round_caps(x, pts, flags, 25, float(rng.uniform(0.5, 1.9)))
+                capped += sweep[-1][1].get("shrink_rounds", 0) == CFG.max_shrink_rounds
         assert capped > 0
 
 
@@ -660,10 +653,7 @@ class TestGatherEqualsKdOracle:
         )
         assert got.tolist() == want.tolist()
         assert stats == want_stats
-        if want_region is not None:
-            axis, major, minor = want_region
-            want_region = (x.tobytes(), None if axis is None else axis.tobytes(), major, minor)
-        assert region_key(region) == want_region
+        assert region_key(region) == kd_region_key(x, want_region)
 
     @pytest.mark.parametrize("n", [2, 4, 8])
     @pytest.mark.parametrize("charge", [0.0, 1.3])

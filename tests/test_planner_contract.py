@@ -249,6 +249,15 @@ def test_dividing_walls_are_extruded(d):
         assert problem.start[2:].tolist() == problem.goals[0][2:].tolist()
 
 
+def test_visibility_oracle_blocks_the_bounds_face_a_box_meets():
+    # a wall that meets the face x1 = 0 (or x1 = 1) leaves no way along that
+    # face: the path goes round its far end, 2 hypot(0.3, 0.7) + 0.2
+    want = 2.0 * math.hypot(0.3, 0.7) + 0.2
+    for wall, y in ((((0.4, 0.0), (0.6, 0.8)), 0.1), (((0.4, 0.2), (0.6, 1.0)), 0.9)):
+        got = visibility_shortest_path([wall], (0.1, y), (0.9, y))
+        assert got == pytest.approx(want, rel=1e-12)
+
+
 WALL = make_problem(WorldSpec("dividing_wall", 2, seed=0))
 WALL_RESOLUTION = default_motion_resolution(WALL.world)
 SUB_CONFIGS = {"neighbor": NeighborConfig, "batch": BatchConfig, "charge": ChargeConfig}

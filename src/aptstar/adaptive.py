@@ -37,8 +37,8 @@ class BatchConfig:
     def __post_init__(self):
         if not (is_int(self.m_min) and is_int(self.m_max)):
             raise ValueError("m_min and m_max must be integers")
-        if self.m_min < 1 or self.m_min >= self.m_max:
-            raise ValueError("need 1 <= m_min < m_max")
+        if self.m_min < 1 or self.m_min > self.m_max:
+            raise ValueError("need 1 <= m_min <= m_max")
 
     def tau(self, n: int) -> float:
         """Decay rate of the schedule in n dimensions."""
@@ -207,7 +207,9 @@ def vertex_charge(
     if not batch_config.m_min <= b <= batch_config.m_max:
         warnings.warn("batch size outside [m_min, m_max]; clamping", stacklevel=2)
         b = min(max(b, batch_config.m_min), batch_config.m_max)
-    u = (b - batch_config.m_min) / (batch_config.m_max - batch_config.m_min)
+    span = batch_config.m_max - batch_config.m_min
+    # a fixed batch sits where m_default sits in a range of even width
+    u = (b - batch_config.m_min) / span if span else 0.5
     x = config.epsilon * (u + config.beta)
     if config.schedule == "tanh_closed":
         return (config.q_min + config.q_max) / 2.0 + (

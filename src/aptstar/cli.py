@@ -132,6 +132,9 @@ def _cmd_plan(args) -> int:
 
 def _cmd_bench(args) -> int:
     suite = load_suite(args.suite)
+    # before the results file exists: an empty one breaks summarize on its directory
+    if args.jobs < 1:
+        raise ValueError("jobs must be a positive integer")
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     out_path = out_dir / f"{suite.suite_id}.results.jsonl"

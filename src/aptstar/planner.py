@@ -15,7 +15,7 @@ import itertools
 import math
 import time
 from collections.abc import Iterator
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -544,29 +544,21 @@ class _AptRun(_Run):
         )
 
 
-def plan_apt(
-    problem: ProblemInstance,
-    config: PlannerConfig,
-    *,
-    adaptive: bool = True,
-) -> PlannerRun:
+def plan_apt(problem: ProblemInstance, config: PlannerConfig) -> PlannerRun:
     """Batch-wise informed planner with adaptive batches and prolated neighbors.
 
-    Each batch: pick a batch size (adaptive after the first solution), draw
-    that many informed samples into the pool (invalid draws are kept as
-    repulsive charges), then grow and rewire the tree best-first where the
-    candidate connections come from the force-prolated elliptical neighbor
-    region. Goal connections are attempted directly from every vertex whose
-    cost-to-come plus goal distance could still improve the solution, and
-    improvements trigger informed pruning of samples and vertices.
-
-    With adaptive=False every batch has m_default samples and zero charge,
-    so every region is the r-ball: the fixed-batch isotropic ablation.
+    Each batch: pick a batch size (m_default until the first solution, then
+    from the informed hypervolume), draw that many informed samples into the
+    pool (invalid draws are kept as repulsive charges), then grow and rewire
+    the tree best-first where the candidate connections come from the
+    force-prolated elliptical neighbor region. Goal connections are attempted
+    directly from every vertex whose cost-to-come plus goal distance could
+    still improve the solution, and improvements trigger informed pruning of
+    samples and vertices. An equal m_min and m_max fixes the batch, and a
+    zero k_e makes every region the r-ball.
     """
-    # the largest charge a batch can carry; bit's charge is zero
-    check_pair_distance(
-        config.neighbor, problem.world.dimension, config.charge.q_max if adaptive else 0.0
-    )
+    # the largest charge a batch can carry
+    check_pair_distance(config.neighbor, problem.world.dimension, config.charge.q_max)
     batch_state = BatchState()
     run = _AptRun(problem, config)
 
@@ -574,13 +566,13 @@ def plan_apt(
     for _ in run.iterations():
         if run.c_best <= problem.c_min + _EPS:
             break
-        if math.isfinite(run.c_best) and adaptive:
+        if math.isfinite(run.c_best):
             batch = adapt_batch_size(
                 run.c_best, problem.c_min, problem.world.dimension, config.batch, batch_state
             )
         else:
             batch = config.batch.m_default
-        charge = vertex_charge(batch, config.charge, config.batch) if adaptive else 0.0
+        charge = vertex_charge(batch, config.charge, config.batch)
         run.counters["batches"] += 1
         run.sample(batch)
         finished = run.search(batch, charge)
@@ -589,15 +581,16 @@ def plan_apt(
             break
 
     run.counters["shrink_rounds"] = run.nn_stats.get("shrink_rounds", 0)
-    return run.finish("apt" if adaptive else "bit")
+    return run.finish("apt")
 
 
-def plan_batch_informed_trees(
-    problem: ProblemInstance, config: PlannerConfig
-) -> PlannerRun:
-    """Fixed-batch isotropic ablation: the same skeleton with both adaptive
-    modules disabled (constant batch size, zero charge, spherical regions)."""
-    return plan_apt(problem, config, adaptive=False)
+def plan_batch_informed_trees(problem: ProblemInstance, config: PlannerConfig) -> PlannerRun:
+    """Fixed-batch isotropic ablation: plan_apt with a fixed batch of
+    m_default and zero k_e, so every region is the r-ball. The caller's
+    batch range, k_e and charge config are ignored."""
+    m = config.batch.m_default
+    fixed = replace(config, batch=BatchConfig(m, m), neighbor=replace(config.neighbor, k_e=0.0))
+    return replace(plan_apt(problem, fixed), planner="bit")
 
 
 def _steer(a: State, b: State, d: float, max_edge: float) -> State:

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from aptstar.adaptive import (
+    SCHEDULES,
     BatchConfig,
     BatchState,
     ChargeConfig,
@@ -117,6 +118,15 @@ class TestAdaptBatchSize:
         for c in (2.5, 2.0, 1.5, 1.2):
             adapt_batch_size(c, 1.0, 3, cfg, state)
             assert state.zeta_initial == frozen
+
+    def test_fixed_batch(self):
+        # an equal m_min and m_max is a fixed batch, before and after a solution
+        for m in (1, 25, 100):
+            cfg = BatchConfig(m, m)
+            state = BatchState()
+            assert cfg.m_default == m
+            for c in (3.0, 2.0, 1.5, 1.01):
+                assert adapt_batch_size(c, 1.0, 4, cfg, state) == m
 
     @given(st.integers(0, 10_000))
     @settings(max_examples=60, deadline=None)
@@ -235,6 +245,15 @@ class TestVertexCharge:
                 q = vertex_charge(b, cfg, self.BATCH)
                 assert cfg.q_min <= q <= cfg.q_max, (schedule, b)
 
+    @pytest.mark.parametrize("schedule", SCHEDULES)
+    def test_fixed_batch_takes_the_charge_of_m_default(self, schedule):
+        # an empty range puts the batch at u = 1/2, where m_default sits in
+        # the default range
+        cfg = ChargeConfig(schedule=schedule)
+        want = vertex_charge(100, cfg, self.BATCH)
+        for m in (1, 25, 100, 250):
+            assert vertex_charge(m, cfg, BatchConfig(m, m)) == want
+
     def test_taylor_matches_closed_inside_clamp(self):
         closed = ChargeConfig(schedule="tanh_closed")
         taylor = ChargeConfig(schedule="tanh_taylor")
@@ -279,8 +298,10 @@ class TestAlternateSchedules:
 
 class TestConfigs:
     def test_batch_config_validation(self):
-        with pytest.raises(ValueError):
-            BatchConfig(m_min=5, m_max=5)
+        # an equal pair is a fixed batch
+        assert BatchConfig(m_min=5, m_max=5).m_default == 5
+        with pytest.raises(ValueError, match="m_min <= m_max"):
+            BatchConfig(m_min=6, m_max=5)
         with pytest.raises(ValueError):
             BatchConfig(m_min=0, m_max=10)
 

@@ -184,5 +184,22 @@ class TestBenchAndSummarize:
         assert run_cli(*args) == 2
         assert f"{option} must be a positive integer" in capsys.readouterr().err
 
+    def test_rejected_jobs_leave_no_results_file(self, tmp_path, capsys):
+        out_dir = tmp_path / "results"
+        for suite_id, jobs, code in (("good", "1", 0), ("bad", "0", 2)):
+            suite = tmp_path / f"{suite_id}.json"
+            suite.write_text(json.dumps({
+                "suite": suite_id,
+                "trials": 1,
+                "worlds": [{"family": "empty", "dimension": 2}],
+                "planners": [{"id": "bit", "config": {"max_iterations": 1}}],
+            }))
+            assert run_cli("bench", "--suite", str(suite), "--out", str(out_dir),
+                           "--jobs", jobs) == code
+        assert [p.name for p in out_dir.iterdir()] == ["good.results.jsonl"]
+        capsys.readouterr()
+        assert run_cli("summarize", "--in", str(out_dir)) == 0
+        assert "bit" in capsys.readouterr().out
+
     def test_summarize_missing_dir(self, tmp_path):
         assert run_cli("summarize", "--in", str(tmp_path)) == 2

@@ -155,7 +155,7 @@ class TestPlannerConfig:
             plan_apt(problem, config)
 
     def test_bit_rejects_a_pair_distance_whose_power_underflows(self):
-        # bit's charge is zero, so its weight 0 / pair^(n-1) / pair is finite
+        # bit's k_e is zero, so its weight 0 / pair^(n-1) / pair is finite
         # until pair^(n-1) underflows to 0
         problem = make_spec_problem(WorldSpec("dividing_wall", 4, seed=0))
         config = PlannerConfig(max_iterations=2, neighbor=NeighborConfig(min_pair_distance=1e-80))
@@ -322,26 +322,6 @@ class TestPlanApt:
             finals.append(run.c_final)
         med = sorted(finals)[9]
         assert abs(med - 0.9) / 0.9 < 1e-3
-
-
-class TestAblationIdentity:
-    def test_apt_with_modules_disabled_equals_bit(self):
-        cfg = PlannerConfig(max_iterations=5, rng_seed=11)
-        prob = make_problem(DW_OFFSET)
-        a = plan_apt(prob, cfg, adaptive=False)
-        b = plan_batch_informed_trees(prob, cfg)
-        assert a.events == b.events
-        assert a.counters == b.counters
-        assert a.success == b.success
-        if a.path is not None:
-            assert all(np.array_equal(p, q) for p, q in zip(a.path, b.path))
-
-    def test_bit_empty_world(self):
-        run = plan_batch_informed_trees(
-            make_problem(EMPTY), PlannerConfig(max_iterations=1, rng_seed=0)
-        )
-        assert run.success
-        assert run.c_final == pytest.approx(0.9, abs=1e-6)
 
 
 class TestRrtConnect:
@@ -1167,6 +1147,58 @@ class TestGoldenEventLogs:
         events, counters = GOLDEN_RUNS[world, planner, seed]
         assert run.events == events
         assert run.counters == counters
+
+
+def assert_same_run(a, b):
+    """Events, counters, success and path equal bit for bit."""
+    assert a.events == b.events
+    assert a.counters == b.counters
+    assert a.success == b.success
+    assert (a.path is None) == (b.path is None)
+    if a.path is not None:
+        assert len(a.path) == len(b.path)
+        assert all(np.array_equal(p, q) for p, q in zip(a.path, b.path))
+
+
+class TestAblationIdentity:
+    def test_apt_with_modules_disabled_equals_bit(self):
+        # both modules off by config: a fixed batch of m_default and zero k_e
+        m = BatchConfig().m_default
+        for world, seed in sorted({(w, s) for w, _, s in GOLDEN_RUNS}):
+            config = PlannerConfig(max_iterations=GOLDEN_BUDGETS["bit"], rng_seed=seed)
+            off = PlannerConfig(
+                max_iterations=GOLDEN_BUDGETS["bit"], rng_seed=seed,
+                batch=BatchConfig(m, m), neighbor=NeighborConfig(k_e=0.0),
+            )
+            a = plan_apt(GOLDEN_PROBLEMS[world], off)
+            b = plan_batch_informed_trees(GOLDEN_PROBLEMS[world], config)
+            assert (a.planner, b.planner) == ("apt", "bit")
+            assert_same_run(a, b)
+
+    def test_bit_ignores_the_modules_configs(self):
+        # bit runs a fixed batch of the caller's m_default at zero k_e,
+        # whatever batch range, k_e and charge schedule it is given
+        problem = GOLDEN_PROBLEMS["w4"]
+        given = PlannerConfig(
+            max_iterations=4, rng_seed=3, batch=BatchConfig(1, 49),
+            neighbor=NeighborConfig(k_e=2.5),
+            charge=ChargeConfig(q_min=0.3, q_max=2.5, schedule="exponential"),
+        )
+        plain = PlannerConfig(
+            max_iterations=4, rng_seed=3, batch=BatchConfig(25, 25),
+            neighbor=NeighborConfig(k_e=0.0),
+        )
+        a = plan_batch_informed_trees(problem, given)
+        assert a.success
+        assert a.counters["samples"] == 25 * a.counters["batches"]
+        assert_same_run(a, plan_batch_informed_trees(problem, plain))
+
+    def test_bit_empty_world(self):
+        run = plan_batch_informed_trees(
+            make_problem(EMPTY), PlannerConfig(max_iterations=1, rng_seed=0)
+        )
+        assert run.success
+        assert run.c_final == pytest.approx(0.9, abs=1e-6)
 
 
 class TestTreeStatesOwnTheirData:

@@ -258,6 +258,18 @@ def test_visibility_oracle_blocks_the_bounds_face_a_box_meets():
         assert got == pytest.approx(want, rel=1e-12)
 
 
+def test_charge_only_keeps_the_contract():
+    """A fixed batch with the force on, the ablation between bit and apt."""
+    # at seed 4 a box blocks the start-goal segment, so every batch runs
+    problem = make_problem(WorldSpec("random_rectangles", 4, seed=4))
+    run = PLANNERS["apt"](problem, PlannerConfig(max_iterations=3, batch=BatchConfig(100, 100)))
+    assert run.success
+    assert contract_violations(problem, run) == []
+    assert run.counters["batches"] == 3 and run.counters["samples"] == 300
+    # the force prolates the regions: queries run more than one round
+    assert run.counters["shrink_rounds"] > run.counters["neighbor_queries"]
+
+
 WALL = make_problem(WorldSpec("dividing_wall", 2, seed=0))
 WALL_RESOLUTION = default_motion_resolution(WALL.world)
 SUB_CONFIGS = {"neighbor": NeighborConfig, "batch": BatchConfig, "charge": ChargeConfig}
@@ -355,16 +367,20 @@ def assert_plans_keep_the_contract(config, name=None):
 
 
 # no shrinking: each example already tries every field, and notes the one that failed
-@settings(
+FUZZ = settings(
     max_examples=2, deadline=None, derandomize=True, phases=[Phase.generate],
     suppress_health_check=[HealthCheck.too_slow],
 )
-@given(data=st.data())
-def test_config_fuzz(data):
-    """Each field set to each odd value, on drawn in-range values of the rest:
-    construction or the plan raises a ValueError that names the field, or the
-    config plans within the contract on a 2-D wall."""
-    drawn = {cls: data.draw(st.fixed_dictionaries(fields)) for cls, fields in IN_RANGE.items()}
+
+
+def draw_in_range(data) -> dict:
+    return {cls: data.draw(st.fixed_dictionaries(fields)) for cls, fields in IN_RANGE.items()}
+
+
+def fuzz(drawn):
+    """Each field set to each odd value, on the drawn in-range values of the
+    rest: construction or the plan raises a ValueError that names the field,
+    or the config plans within the contract on a 2-D wall."""
     assert_plans_keep_the_contract(build(drawn))
     for cls, fields in IN_RANGE.items():
         names = [*fields, *SUB_CONFIGS] if cls is PlannerConfig else list(fields)
@@ -378,3 +394,25 @@ def test_config_fuzz(data):
                     continue
                 note(f"{cls.__name__}.{name} = {value!r}")
                 assert_plans_keep_the_contract(config, name)
+
+
+@FUZZ
+@given(data=st.data())
+def test_config_fuzz(data):
+    fuzz(draw_in_range(data))
+
+
+FIXED_K_E = {"zero": st.just(0.0), "positive": st.floats(0.0, 3.0, exclude_min=True)}
+
+
+@pytest.mark.parametrize("k_e", sorted(FIXED_K_E))
+@FUZZ
+@given(data=st.data())
+def test_config_fuzz_on_a_fixed_batch(data, k_e):
+    """The fuzz with m_min == m_max, which the drawn ranges never give, at a
+    zero k_e (bit's config) and at a positive one (charge only)."""
+    drawn = draw_in_range(data)
+    m = data.draw(st.integers(1, 250))
+    drawn[BatchConfig] = {"m_min": m, "m_max": m}
+    drawn[NeighborConfig]["k_e"] = data.draw(FIXED_K_E[k_e])
+    fuzz(drawn)
